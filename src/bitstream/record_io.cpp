@@ -1,6 +1,9 @@
 #include "bitstream/record_io.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <memory>
 
@@ -52,16 +55,28 @@ void RecordWriter::write(const std::string& path) const {
   for (int i = 0; i < 4; ++i) {
     out.push_back(static_cast<u8>(crc32(buf_) >> (8 * i)));
   }
-  const std::string tmp = path + ".tmp";
-  {
-    const File f(std::fopen(tmp.c_str(), "wb"));
-    VSCRUB_CHECK(f != nullptr, "cannot open " + tmp + " for writing");
-    VSCRUB_CHECK(std::fwrite(out.data(), 1, out.size(), f.get()) == out.size(),
-                 "short write to " + tmp);
-    VSCRUB_CHECK(std::fflush(f.get()) == 0, "flush failed for " + tmp);
-  }
-  VSCRUB_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
-               "cannot rename " + tmp + " to " + path);
+  write_file_atomic(path, out);
+}
+
+void write_file_atomic(const std::string& path, std::span<const u8> bytes) {
+  // Every write gets its own temp file (pid + per-process serial). Writers
+  // of one path sharing a temp name (concurrent campaigns publishing the
+  // same manifest, two daemons on one cache dir) would truncate each
+  // other's bytes mid-write, or rename the file away from under each other.
+  static std::atomic<u64> serial{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(serial.fetch_add(1));
+  std::FILE* f = std::fopen(tmp.c_str(), "wb");
+  VSCRUB_CHECK(f != nullptr, "cannot open " + tmp + " for writing");
+  const bool wrote =
+      bytes.empty() ||
+      std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
+  const bool closed = std::fclose(f) == 0;
+  const bool renamed = wrote && closed &&
+                       std::rename(tmp.c_str(), path.c_str()) == 0;
+  if (!renamed) std::remove(tmp.c_str());
+  VSCRUB_CHECK(wrote && closed, "short write to " + tmp);
+  VSCRUB_CHECK(renamed, "cannot rename " + tmp + " to " + path);
 }
 
 RecordReader::RecordReader(const std::string& path, const std::string& magic)

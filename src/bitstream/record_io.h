@@ -6,6 +6,7 @@
 // hands out fields with bounds checking.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -30,9 +31,7 @@ class RecordWriter {
   const std::vector<u8>& bytes() const { return buf_; }
 
   /// Appends the crc32 trailer (over everything accumulated so far) and
-  /// writes the record to `path` atomically: the bytes land in `path`.tmp
-  /// first and are renamed into place, so an interrupted write leaves any
-  /// previous record intact.
+  /// writes the record to `path` with write_file_atomic().
   void write(const std::string& path) const;
 
  private:
@@ -60,6 +59,13 @@ class RecordReader {
   std::size_t pos_ = 0;
   std::string path_;  ///< for error messages
 };
+
+/// Writes `bytes` to `path` atomically: they land in a temp file beside
+/// `path`, unique to this call, and are renamed into place. A reader never
+/// sees a half-written file, an interrupted write leaves any previous file
+/// intact, and concurrent writers of one path each land a whole file (the
+/// last rename wins). Throws (VSCRUB_CHECK) when the write fails.
+void write_file_atomic(const std::string& path, std::span<const u8> bytes);
 
 /// True when `path` exists and carries the given magic tag (cheap sniff; no
 /// CRC verification).

@@ -76,8 +76,11 @@ Netlist vmult(int width, int pipeline_rows) {
   const std::size_t lane_w = static_cast<std::size_t>(width) / 2;
   Bus acc;
   for (int lane = 0; lane < 4; ++lane) {
-    const Bus x = b.input_bus("x" + std::to_string(lane), lane_w);
-    const Bus y = b.input_bus("y" + std::to_string(lane), lane_w);
+    // Not `"x" + std::to_string(lane)`: GCC 12 at -O3 flags the inlined
+    // operator+(const char*, string&&) with a false -Wrestrict.
+    const std::string suffix = std::to_string(lane);
+    const Bus x = b.input_bus("x" + suffix, lane_w);
+    const Bus y = b.input_bus("y" + suffix, lane_w);
     Bus p = b.multiply(x, y, pipeline_rows);
     p = b.register_bus(p);
     if (acc.empty()) {

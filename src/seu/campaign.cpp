@@ -17,12 +17,19 @@
 namespace vscrub {
 namespace {
 
-/// Chunk sizing never derives from the thread count: results, progress and
-/// checkpoints must be comparable across machines (and a checkpoint taken
-/// on an 8-way host must resume on a 1-way one).
+/// The smallest default chunk: the lane count of the widest gang run. A
+/// chunk's gang-eligible misses go out as one batch, so a smaller chunk
+/// splits a sampled range into runs that fill a fraction of their lanes
+/// while paying for all of them.
+constexpr u64 kMinDefaultChunk = 512;
+
+/// Chunk sizing derives from neither the thread count nor the gang width:
+/// results, progress and checkpoints must be comparable across machines and
+/// engines (a checkpoint taken on an 8-way AVX-512 host must resume on a
+/// 1-way scalar one; the width is not in the campaign fingerprint).
 u64 resolve_chunk_size(u64 requested, u64 n) {
   if (requested != 0) return requested;
-  return std::clamp<u64>(n / 256, 64, 4096);
+  return std::clamp<u64>(n / 256, kMinDefaultChunk, 4096);
 }
 
 /// The bit universe: every configuration bit, or a uniform sample without

@@ -62,8 +62,8 @@ struct CampaignOptions {
   u64 range_end = 0;  ///< 0 = whole universe
 
   /// Scheduler chunk size in bits; 0 => auto (total/256 clamped to
-  /// [64, 4096]). Never derived from the thread count, so results and
-  /// checkpoints are comparable across machines.
+  /// [512, 4096]). Never derived from the thread count or the gang width,
+  /// so results and checkpoints are comparable across machines.
   u64 chunk_size = 0;
   /// Called (serialized, from worker threads) every `progress_every_chunks`
   /// completed chunks and once at the end. Return false to stop the

@@ -28,7 +28,7 @@ SeuInjector::SeuInjector(const PlacedDesign& design,
                          const InjectionOptions& options)
     : design_(&design),
       options_(options),
-      sim_(design.space),
+      sim_(design.space, design.bitstream),
       harness_(design, sim_, options.stim_seed) {
   // Fail fast on unsupported gang options: a campaign should reject a bad
   // width/ISA at submission, not after hours of scalar injections when the
@@ -48,7 +48,9 @@ SeuInjector::SeuInjector(const PlacedDesign& design,
            : 0);
   golden_ = DesignHarness::reference_trace(*design_->netlist, trace_len,
                                            options_.stim_seed);
-  harness_.configure();
+  // sim_ was built configured with the golden bitstream; restart() is the
+  // rest of what harness_.configure() would do.
+  harness_.restart();
   snapshot_observability();
   // The configuration just written is the dirty-tracking baseline every
   // incremental repair restores to, and the post-restart FF state is the

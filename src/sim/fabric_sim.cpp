@@ -21,6 +21,24 @@ constexpr u32 kNoTile = FabricSim::kNoTile;
 FabricSim::FabricSim(std::shared_ptr<const ConfigSpace> space,
                      const ArchVariants& variants)
     : space_(std::move(space)), variants_(variants), cfg_(space_) {
+  allocate_state();
+  const DeviceGeometry& geom = space_->geometry();
+  for (u32 t = 0; t < geom.tile_count(); ++t) decode_full_tile(geom.tile_coord(t));
+}
+
+FabricSim::FabricSim(std::shared_ptr<const ConfigSpace> space,
+                     const Bitstream& bs, const ArchVariants& variants)
+    : space_(std::move(space)), variants_(variants), cfg_(bs) {
+  check_geometry(bs);
+  allocate_state();
+  // No blank decode: startup() decodes every tile from `bs` directly. The
+  // blank decode leaves every tile inactive with all values zero, which is
+  // exactly what allocate_state() leaves, so the two paths reach the same
+  // state (and queue the same tiles, in the same order, for the settle).
+  startup();
+}
+
+void FabricSim::allocate_state() {
   const DeviceGeometry& geom = space_->geometry();
   const u32 n = geom.tile_count();
   tiles_.resize(n);
@@ -46,7 +64,6 @@ FabricSim::FabricSim(std::shared_ptr<const ConfigSpace> space,
   for (auto& col : bram_) {
     col.dout.assign(geom.bram_blocks_per_column(), 0);
   }
-  for (u32 t = 0; t < n; ++t) decode_full_tile(geom.tile_coord(t));
 }
 
 // ---- Decode -------------------------------------------------------------------
@@ -246,11 +263,19 @@ void FabricSim::refresh_tile_activity(u32 t) {
 
 // ---- Configuration port ---------------------------------------------------------
 
-void FabricSim::full_configure(const Bitstream& bs) {
+void FabricSim::check_geometry(const Bitstream& bs) const {
   VSCRUB_CHECK(&bs.space() == space_.get() ||
                    bs.space().geometry().name == space_->geometry().name,
                "bitstream geometry mismatch");
+}
+
+void FabricSim::full_configure(const Bitstream& bs) {
+  check_geometry(bs);
   cfg_ = bs;
+  startup();
+}
+
+void FabricSim::startup() {
   const DeviceGeometry& geom = space_->geometry();
   // Startup sequence.
   for (u32 t = 0; t < geom.tile_count(); ++t) {

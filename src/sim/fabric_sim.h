@@ -78,8 +78,14 @@ class FabricSim {
     u8 lut_dyn_mask[kLutsPerClb];  ///< pins needing dynamic resolution
   };
 
+  /// A blank fabric: every tile decodes the all-zero configuration.
   explicit FabricSim(std::shared_ptr<const ConfigSpace> space,
                      const ArchVariants& variants = {});
+  /// A fabric fully configured with `bs`: the state the blank constructor
+  /// followed by full_configure(bs) reaches, for one decode of every tile
+  /// instead of two.
+  FabricSim(std::shared_ptr<const ConfigSpace> space, const Bitstream& bs,
+            const ArchVariants& variants = {});
 
   const ArchVariants& variants() const { return variants_; }
 
@@ -220,6 +226,10 @@ class FabricSim {
 
  private:
   u32 tidx(TileCoord t) const { return space_->geometry().tile_index(t); }
+  void allocate_state();
+  void check_geometry(const Bitstream& bs) const;
+  /// Startup sequence over the configuration in cfg_ (see full_configure).
+  void startup();
   BitVector assemble_frame(const FrameAddress& fa) const;
   void decode_full_tile(TileCoord t);
   void refresh_tile_activity(u32 tile);

@@ -6,6 +6,7 @@
 #include <optional>
 #include <utility>
 
+#include "bitstream/record_io.h"
 #include "common/log.h"
 #include "svc/requests.h"
 #include "svc/store_wire.h"
@@ -438,8 +439,8 @@ bool CampaignService::run_job(Job& job) {
     }
     if (params.has("resume_checkpoint")) {
       try {
-        write_file_bytes(ctx.checkpoint_path,
-                         hex_decode(params.get_string("resume_checkpoint")));
+        write_file_atomic(ctx.checkpoint_path,
+                          hex_decode(params.get_string("resume_checkpoint")));
       } catch (const Error& e) {
         reply(job.emit, FrameKind::kError, id,
               error_report("bad_request", e.what()));

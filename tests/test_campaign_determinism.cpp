@@ -8,6 +8,7 @@
 #include <string>
 
 #include "core/vscrub.h"
+#include "svc/requests.h"
 
 using namespace vscrub;
 
@@ -73,6 +74,45 @@ TEST(CampaignDeterminism, ChunkSizeInvariance) {
   const auto big_chunks = run_campaign(design, opts.with_chunk_size(1024));
   expect_same_result(small_chunks, big_chunks);
   EXPECT_EQ(small_chunks.pruned, big_chunks.pruned);
+}
+
+// The default chunk for a 2,000-bit sample is the 512-bit floor: 4 chunks,
+// each filling most of a 512-lane gang run, where 64-bit chunks filled a
+// few dozen lanes per run. Fuller runs must not change a single verdict, at
+// the u64 engine's width and at the widest engine's, with the served
+// default (no persistence window) and with it.
+TEST(CampaignDeterminism, DefaultChunkFloorMatchesSmallChunks) {
+  for (const char* name : {"lfsr", "counter", "mult", "lfsrmult"}) {
+    const PlacedDesign design =
+        compile(design_by_name(name), device_by_name("campaign"));
+    for (const u32 width : {64u, 512u}) {
+      for (const bool persistence : {false, true}) {
+        SCOPED_TRACE(std::string(name) + " w" + std::to_string(width) +
+                     (persistence ? " persistence" : ""));
+        u64 default_chunks = 0;
+        const CampaignOptions opts =
+            CampaignOptions{}
+                .with_sample(2000, 99)
+                .with_threads(1)
+                .with_injection(InjectionOptions{}
+                                    .with_gang_width(width)
+                                    .with_persistence(persistence));
+        const auto by_default = run_campaign(
+            design, CampaignOptions(opts).with_progress(
+                        [&](const CampaignProgress& p) {
+                          default_chunks = p.chunks_total;
+                          return true;
+                        }));
+        const auto by_64 =
+            run_campaign(design, CampaignOptions(opts).with_chunk_size(64));
+        EXPECT_EQ(default_chunks, 4u);
+        expect_same_result(by_default, by_64);
+        EXPECT_EQ(by_default.sensitive_digest(design),
+                  by_64.sensitive_digest(design));
+        EXPECT_GT(by_default.failures, 0u);
+      }
+    }
+  }
 }
 
 TEST(CampaignDeterminism, PruningMatchesUnprunedSimulation) {
