@@ -29,7 +29,7 @@
 #include "coord/coordinator.h"
 #include "coord/fabric.h"
 #include "coord/partition.h"
-#include "svc/client.h"
+#include "svc/session.h"
 #include "svc/config.h"
 #include "svc/protocol.h"
 #include "svc/server.h"
@@ -153,7 +153,7 @@ void run_report() {
 
   // Ground truth and serial baseline in one: the campaign served one-shot
   // by a single single-threaded worker.
-  ServiceClient client = ServiceClient::connect_unix(sockets[0]);
+  ServiceSession client = ServiceSession::connect_unix(sockets[0]);
   const auto one_shot_start = std::chrono::steady_clock::now();
   const Frame one_shot =
       client.call(FrameKind::kCampaign, campaign_payload(sample));

@@ -2,30 +2,67 @@
 
 #include <utility>
 
-#include "common/log.h"
 #include "coord/fabric.h"
-#include "svc/config.h"
+#include "svc/requests.h"
 #include "svc/store_wire.h"
 
 namespace vscrub {
 
+const std::vector<ServiceConfigFlag>& coordinator_config_flags() {
+  static const std::vector<ServiceConfigFlag> flags = {
+      {"--socket", true, "PATH",
+       "coordinator unix socket (default /tmp/vscrub-coord.sock)"},
+      {"--worker", true, "PATH",
+       "register a vscrubd worker socket (repeatable)"},
+      {"--cache-dir", true, "DIR",
+       "verdict hub store — the fleet-wide reuse tier"},
+      {"--shards-per-worker", true, "N",
+       "contiguous bit ranges per worker (default 2)"},
+      {"--lease-ms", true, "MS",
+       "reassign a range after this long without a worker frame (default "
+       "10000)"},
+      {"--checkpoint-every-chunks", true, "N",
+       "worker checkpoint-shipping cadence (default 2)"},
+      {"--max-concurrent", true, "N",
+       "concurrent sharded campaigns (default 2)"},
+  };
+  return flags;
+}
+
+void CoordinatorConfig::set(const std::string& flag,
+                            const std::string& value) {
+  const auto number = [&flag, &value](u64 max) {
+    return parse_config_u64("fleet-serve: " + flag, value, max);
+  };
+  if (flag == "--socket") {
+    socket_path = value;
+  } else if (flag == "--worker") {
+    workers.push_back(value);
+  } else if (flag == "--cache-dir") {
+    cache_dir = value;
+  } else if (flag == "--shards-per-worker") {
+    shards_per_worker = number(~u64{0});
+  } else if (flag == "--lease-ms") {
+    lease_ms = number(~u64{0});
+  } else if (flag == "--checkpoint-every-chunks") {
+    checkpoint_every_chunks = number(~u64{0});
+  } else if (flag == "--max-concurrent") {
+    max_concurrent = static_cast<unsigned>(number(4096));
+  } else {
+    throw ServiceConfigError("fleet-serve: unknown flag " + flag);
+  }
+}
+
 void CoordinatorConfig::validate() const {
-  if (socket_path.empty()) {
-    throw ServiceConfigError("coordinator: socket_path must be set");
-  }
-  if (workers.empty()) {
-    throw ServiceConfigError(
-        "coordinator: at least one --worker socket is required");
-  }
-  if (shards_per_worker == 0) {
-    throw ServiceConfigError(
-        "coordinator: shards_per_worker must be positive");
-  }
-  if (lease_ms == 0) {
-    throw ServiceConfigError("coordinator: lease_ms must be positive");
-  }
-  if (max_concurrent == 0) {
-    throw ServiceConfigError("coordinator: max_concurrent must be positive");
+  const std::pair<bool, const char*> violations[] = {
+      {socket_path.empty(), "socket_path must be set"},
+      {workers.empty(), "at least one --worker socket is required"},
+      {shards_per_worker == 0, "shards_per_worker must be positive"},
+      {lease_ms == 0, "lease_ms must be positive"},
+      {max_concurrent == 0, "max_concurrent must be positive"},
+  };
+  for (const auto& [violated, what] : violations) {
+    if (violated) throw ServiceConfigError(std::string("coordinator: ") + what);
   }
 }
 
@@ -40,19 +77,6 @@ CoordinatorService::CoordinatorService(CoordinatorConfig config)
 CoordinatorService::~CoordinatorService() {
   begin_drain();
   wait_drained();
-}
-
-JsonReport CoordinatorService::error_report(const std::string& code,
-                                            const std::string& message) const {
-  return JsonReport("error")
-      .set_string("code", code)
-      .set_string("error", message);
-}
-
-void CoordinatorService::reply(const Emit& emit, FrameKind kind,
-                               u64 request_id,
-                               const JsonReport& report) const {
-  emit(Frame{kind, request_id, report.to_json()});
 }
 
 void CoordinatorService::handle(const Frame& request, Emit emit,
@@ -70,67 +94,31 @@ void CoordinatorService::handle(const Frame& request, Emit emit,
       return;
     case FrameKind::kStoreLookup:
     case FrameKind::kStorePublish: {
-      if (store_ == nullptr) {
-        reply(emit, FrameKind::kError, request.request_id,
-              error_report("no_store",
-                           "this coordinator runs without a verdict store "
-                           "(start it with --cache-dir)"));
-        return;
-      }
-      try {
-        const FlatJson params = FlatJson::parse(
-            request.payload.empty() ? "{}" : request.payload);
-        if (request.kind == FrameKind::kStoreLookup) {
-          u64 keys = 0, hits = 0;
-          const JsonReport report =
-              answer_store_lookup(*store_, params, &keys, &hits);
-          {
-            std::lock_guard lock(mutex_);
-            store_lookups_ += keys;
-            store_hits_ += hits;
-          }
-          reply(emit, FrameKind::kResult, request.request_id, report);
-        } else {
-          u64 entries = 0;
-          const JsonReport report =
-              answer_store_publish(*store_, params, &entries);
-          {
-            std::lock_guard lock(mutex_);
-            store_publishes_ += entries;
-          }
-          reply(emit, FrameKind::kResult, request.request_id, report);
-        }
-      } catch (const Error& e) {
-        reply(emit, FrameKind::kError, request.request_id,
-              error_report("bad_request", e.what()));
-      }
-      return;
-    }
-    case FrameKind::kCancel: {
-      u64 target = 0;
-      try {
-        target = FlatJson::parse(request.payload).get_u64("target_id", 0);
-      } catch (const Error& e) {
-        reply(emit, FrameKind::kError, request.request_id,
-              error_report("bad_request", e.what()));
-        return;
-      }
-      bool cancelled = false;
+      StoreTraffic traffic;
+      const Frame answer =
+          answer_store_request(store_.get(), request, traffic);
       {
         std::lock_guard lock(mutex_);
+        store_lookups_ += traffic.lookups;
+        store_hits_ += traffic.hits;
+        store_publishes_ += traffic.publishes;
+      }
+      emit(answer);
+      return;
+    }
+    case FrameKind::kCancel:
+      answer_cancel(request, emit, [&](u64 target) {
+        std::lock_guard lock(mutex_);
+        bool cancelled = false;
         for (LiveCampaign& c : live_) {
           if (c.client_id == client_id && c.request_id == target) {
             c.cancelled->store(true, std::memory_order_relaxed);
             cancelled = true;
           }
         }
-      }
-      reply(emit, FrameKind::kResult, request.request_id,
-            JsonReport("cancel")
-                .set_u64("target_id", target)
-                .set_bool("cancelled", cancelled));
+        return cancelled;
+      });
       return;
-    }
     case FrameKind::kCampaign:
       break;  // the sharded fleet campaign, admitted below
     default:
@@ -141,10 +129,15 @@ void CoordinatorService::handle(const Frame& request, Emit emit,
       return;
   }
 
-  // Parse before admission: a malformed request costs a typed reply, not a
-  // runner thread.
+  // Check before admission, with the parser the workers run: a malformed
+  // request costs one typed reply, not a runner thread and a retried error
+  // on every range. Nothing is compiled; the universe size needs only the
+  // device geometry.
+  FlatJson params;
   try {
-    (void)FlatJson::parse(request.payload.empty() ? "{}" : request.payload);
+    params = FlatJson::parse(request.payload.empty() ? "{}" : request.payload);
+    (void)request_design(params);
+    (void)campaign_universe_size(params);
   } catch (const Error& e) {
     reply(emit, FrameKind::kError, request.request_id,
           error_report("bad_request", e.what()));
@@ -171,11 +164,12 @@ void CoordinatorService::handle(const Frame& request, Emit emit,
     running_ += 1;
     campaigns_total_ += 1;
     live_.push_back({client_id, request.request_id, cancelled});
-    runners_.emplace_back(
-        [this, request, emit, cancelled, client_id]() mutable {
-          run_fleet_campaign(request, std::move(emit), cancelled);
-          finish_campaign(client_id, request.request_id);
-        });
+    runners_.emplace_back([this, id = request.request_id,
+                           params = std::move(params), emit, cancelled,
+                           client_id]() mutable {
+      run_fleet_campaign(id, std::move(params), std::move(emit), cancelled);
+      finish_campaign(client_id, id);
+    });
   }
   reply(emit, FrameKind::kAccepted, request.request_id,
         JsonReport("accepted")
@@ -184,14 +178,12 @@ void CoordinatorService::handle(const Frame& request, Emit emit,
 }
 
 void CoordinatorService::run_fleet_campaign(
-    const Frame& request, Emit emit,
+    u64 id, FlatJson params, Emit emit,
     std::shared_ptr<std::atomic<bool>> cancelled) {
-  const u64 id = request.request_id;
   try {
     FabricOptions options;
     options.workers = config_.workers;
-    options.params = FlatJson::parse(
-        request.payload.empty() ? "{}" : request.payload);
+    options.params = std::move(params);
     options.shards_per_worker = config_.shards_per_worker;
     options.lease_ms = config_.lease_ms;
     options.checkpoint_every_chunks = config_.checkpoint_every_chunks;

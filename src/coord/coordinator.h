@@ -26,14 +26,20 @@
 #include <vector>
 
 #include "store/verdict_store.h"
+#include "svc/config.h"
 #include "svc/service.h"
 
 namespace vscrub {
 
+/// Every flag `fleet-serve` (and `vscrubd --coordinator`) takes for a
+/// CoordinatorConfig field, in display order: the single source of that CLI
+/// surface, the same way service_config_flags() drives `serve`.
+const std::vector<ServiceConfigFlag>& coordinator_config_flags();
+
 struct CoordinatorConfig {
   /// This daemon's own Unix socket — advertised to workers as the remote
   /// verdict tier (remote_store_socket), so the coordinator is the hub.
-  std::string socket_path;
+  std::string socket_path = "/tmp/vscrub-coord.sock";
   /// The registered fleet: vscrubd worker Unix-socket paths.
   std::vector<std::string> workers;
   /// Verdict hub store directory; empty runs the fleet without the remote
@@ -45,6 +51,10 @@ struct CoordinatorConfig {
   u64 checkpoint_every_chunks = 2;
   /// Concurrent sharded campaigns; extras are rejected with kBusy.
   unsigned max_concurrent = 2;
+
+  /// Applies one parsed CLI flag ("--lease-ms", "500"); "--worker" appends.
+  /// Throws ServiceConfigError on an unknown flag or an unparsable value.
+  void set(const std::string& flag, const std::string& value);
 
   /// Throws ServiceConfigError on an unusable configuration.
   void validate() const;
@@ -78,13 +88,9 @@ class CoordinatorService : public FrameService {
     std::shared_ptr<std::atomic<bool>> cancelled;
   };
 
-  void run_fleet_campaign(const Frame& request, Emit emit,
+  void run_fleet_campaign(u64 id, FlatJson params, Emit emit,
                           std::shared_ptr<std::atomic<bool>> cancelled);
   void finish_campaign(u64 client_id, u64 request_id);
-  void reply(const Emit& emit, FrameKind kind, u64 request_id,
-             const JsonReport& report) const;
-  JsonReport error_report(const std::string& code,
-                          const std::string& message) const;
 
   CoordinatorConfig config_;
   std::unique_ptr<VerdictStore> store_;  ///< null when cache_dir is empty

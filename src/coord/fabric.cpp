@@ -3,12 +3,13 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <thread>
-#include <utility>
 
 #include "common/log.h"
+#include "svc/requests.h"
 #include "svc/session.h"
 
 namespace vscrub {
@@ -29,21 +30,23 @@ constexpr u64 kRangeErrorBudget = 3;
 /// that is down for good.
 constexpr u64 kLinkFailureBudget = 3;
 
-/// The campaign parameters a fabric request forwards to its workers.
-/// Allow-listed by name and type: the coordinator re-renders them into each
-/// shard's request, so an unknown or transport-level field can never leak
-/// into a worker campaign and skew its fingerprint.
-struct ParamSpec {
-  const char* name;
-  char type;  // 's'tring / 'u'64 / 'b'ool
-};
-constexpr ParamSpec kForwarded[] = {
-    {"design", 's'},   {"device", 's'},       {"gang_isa", 's'},
-    {"tenant", 's'},   {"sample", 'u'},       {"seed", 'u'},
-    {"chunk", 'u'},    {"gang_width", 'u'},   {"exhaustive", 'b'},
-    {"no_gang", 'b'},  {"no_gang_plan", 'b'}, {"no_prune", 'b'},
-    {"persistence", 'b'},
-};
+/// The shard request's campaign part: every campaign row of the request
+/// parameter table (svc/requests.h) that the request sets, re-rendered from
+/// its parsed value, plus the design and the submitter's tenant. Transport
+/// and range keys are the coordinator's to set, so a field outside the
+/// table never leaks into a worker campaign and skews its fingerprint.
+JsonReport shard_request(const FlatJson& params) {
+  JsonReport request("campaign_shard");
+  for (const char* key : {"design", "tenant"}) {
+    if (params.has(key)) request.set_string(key, params.get_string(key));
+  }
+  for (const RequestParam& p : request_params()) {
+    if ((p.applies_to & kCampaignParam) != 0 && params.has(p.key)) {
+      set_param(request, p, params.get_string(p.key), p.key);
+    }
+  }
+  return request;
+}
 
 struct RangeState {
   BitRange range;
@@ -104,8 +107,10 @@ void set_fatal_locked(Shared& shared, const std::string& message) {
 /// into the shared state. Exits when the campaign is finished/cancelled/
 /// fatal, or when this worker is lost (dead link or expired lease) — its
 /// in-flight range is requeued first, so the survivors absorb the work.
-void run_driver(const FabricOptions& options, Shared& shared,
-                const std::string& socket, u64 universe) {
+/// `shard` is shard_request(options.params), built before any driver runs:
+/// nothing here may throw a parse error past the driver thread.
+void run_driver(const FabricOptions& options, const JsonReport& shard,
+                Shared& shared, const std::string& socket, u64 universe) {
   struct DriverExit {
     Shared& shared;
     ~DriverExit() {
@@ -163,22 +168,9 @@ void run_driver(const FabricOptions& options, Shared& shared,
     }
     RangeState& rs = shared.ranges[index];
 
-    // The shard request: the allow-listed campaign parameters plus this
-    // range, checkpoint shipping, and the fleet's remote verdict tier.
-    JsonReport request("campaign_shard");
-    for (const ParamSpec& spec : kForwarded) {
-      if (!options.params.has(spec.name)) continue;
-      switch (spec.type) {
-        case 's':
-          request.set_string(spec.name, options.params.get_string(spec.name));
-          break;
-        case 'u':
-          request.set_u64(spec.name, options.params.get_u64(spec.name));
-          break;
-        default:
-          request.set_bool(spec.name, options.params.get_bool(spec.name));
-      }
-    }
+    // The shard request: the campaign's table rows plus this range,
+    // checkpoint shipping, and the fleet's remote verdict tier.
+    JsonReport request = shard;
     request.set_u64("range_begin", rs.range.begin);
     request.set_u64("range_end", rs.range.end);
     request.set_bool("ship_checkpoints", true);
@@ -339,8 +331,7 @@ void run_driver(const FabricOptions& options, Shared& shared,
     } else {  // kError
       std::string message = "worker error";
       try {
-        message = FlatJson::parse(reply.payload).get_string("message",
-                                                            message);
+        message = FlatJson::parse(reply.payload).get_string("error", message);
       } catch (const Error&) {
       }
       std::lock_guard lock(shared.mutex);
@@ -365,6 +356,7 @@ FabricResult run_fabric_campaign(const FabricOptions& options) {
                "fabric: shards_per_worker must be positive");
   const auto started = Clock::now();
   const u64 universe = campaign_universe_size(options.params);
+  const JsonReport shard = shard_request(options.params);
   const std::vector<BitRange> ranges = partition_universe(
       universe, options.workers.size() * options.shards_per_worker);
   VSCRUB_CHECK(!ranges.empty(), "fabric: empty injection universe");
@@ -380,8 +372,8 @@ FabricResult run_fabric_campaign(const FabricOptions& options) {
   std::vector<std::thread> drivers;
   drivers.reserve(options.workers.size());
   for (const std::string& socket : options.workers) {
-    drivers.emplace_back([&options, &shared, &socket, universe] {
-      run_driver(options, shared, socket, universe);
+    drivers.emplace_back([&options, &shard, &shared, &socket, universe] {
+      run_driver(options, shard, shared, socket, universe);
     });
   }
   for (std::thread& t : drivers) t.join();
@@ -402,64 +394,43 @@ FabricResult run_fabric_campaign(const FabricOptions& options) {
     // The exact merge: counters sum, the order-independent sensitive-set
     // digest XOR-folds. Disjoint covering ranges therefore reproduce the
     // one-shot campaign's report field-for-field.
-    u64 injections = 0, failures = 0, persistent = 0, pruned = 0;
-    u64 cache_hits = 0, cache_misses = 0, cache_stores = 0;
-    u64 sensitive_bits = 0, digest = 0, device_bits = 0;
+    constexpr const char* kSummed[] = {
+        "injections", "failures", "persistent", "pruned",
+        "resumed_injections", "cache_hits", "cache_misses", "cache_stores",
+        "remote_hits", "remote_publishes", "sensitive_bits"};
+    std::map<std::string, u64> sum;
+    u64 digest = 0;
     double modeled_s = 0.0;
     bool cache_enabled = false;
-    std::string design_name, device_name;
+    FlatJson first;  ///< the first finished range names design and device
     for (const RangeState& rs : shared.ranges) {
       if (!rs.done) continue;
       const FlatJson& r = rs.report;
-      if (design_name.empty()) {
-        design_name = r.get_string("design");
-        device_name = r.get_string("device");
-        device_bits = r.get_u64("device_bits");
-      }
-      injections += r.get_u64("injections");
-      failures += r.get_u64("failures");
-      persistent += r.get_u64("persistent");
-      pruned += r.get_u64("pruned");
-      cache_hits += r.get_u64("cache_hits");
-      cache_misses += r.get_u64("cache_misses");
-      cache_stores += r.get_u64("cache_stores");
-      sensitive_bits += r.get_u64("sensitive_bits");
+      if (!first.has("design")) first = r;
+      for (const char* key : kSummed) sum[key] += r.get_u64(key);
       digest ^= r.get_u64("sensitive_digest");
       modeled_s += r.get_double("modeled_hardware_s");
       cache_enabled = cache_enabled || r.get_bool("cache_enabled");
-      result.resumed_injections += r.get_u64("resumed_injections");
-      result.remote_hits += r.get_u64("remote_hits");
-      result.remote_publishes += r.get_u64("remote_publishes");
     }
-    const double wall =
-        std::chrono::duration<double>(Clock::now() - started).count();
-    result.merged.set_string("design", design_name);
-    result.merged.set_string("device", device_name);
-    result.merged.set_u64("device_bits", device_bits);
-    result.merged.set_u64("injections", injections);
-    result.merged.set_u64("failures", failures);
-    result.merged.set_u64("persistent", persistent);
-    result.merged.set_u64("pruned", pruned);
-    result.merged.set_u64("resumed_injections", result.resumed_injections);
-    result.merged.set("sensitivity",
-                      injections ? static_cast<double>(failures) /
-                                       static_cast<double>(injections)
-                                 : 0.0);
-    result.merged.set("persistence_ratio",
-                      failures ? static_cast<double>(persistent) /
-                                     static_cast<double>(failures)
-                               : 0.0);
-    result.merged.set("modeled_hardware_s", modeled_s);
-    result.merged.set("wall_seconds", wall);
-    result.merged.set_bool("interrupted", result.interrupted);
-    result.merged.set_bool("cache_enabled", cache_enabled);
-    result.merged.set_u64("cache_hits", cache_hits);
-    result.merged.set_u64("cache_misses", cache_misses);
-    result.merged.set_u64("cache_stores", cache_stores);
-    result.merged.set_u64("remote_hits", result.remote_hits);
-    result.merged.set_u64("remote_publishes", result.remote_publishes);
-    result.merged.set_u64("sensitive_bits", sensitive_bits);
-    result.merged.set_u64("sensitive_digest", digest);
+    result.resumed_injections = sum["resumed_injections"];
+    result.remote_hits = sum["remote_hits"];
+    result.remote_publishes = sum["remote_publishes"];
+    const auto ratio = [](u64 num, u64 den) {
+      return den ? static_cast<double>(num) / static_cast<double>(den) : 0.0;
+    };
+    JsonReport& m = result.merged;
+    m.set_string("design", first.get_string("design"));
+    m.set_string("device", first.get_string("device"));
+    m.set_u64("device_bits", first.get_u64("device_bits"));
+    for (const char* key : kSummed) m.set_u64(key, sum[key]);
+    m.set("sensitivity", ratio(sum["failures"], sum["injections"]));
+    m.set("persistence_ratio", ratio(sum["persistent"], sum["failures"]));
+    m.set("modeled_hardware_s", modeled_s);
+    m.set("wall_seconds",
+          std::chrono::duration<double>(Clock::now() - started).count());
+    m.set_bool("interrupted", result.interrupted);
+    m.set_bool("cache_enabled", cache_enabled);
+    m.set_u64("sensitive_digest", digest);
     result.merged.set_u64("fabric_workers", options.workers.size());
     result.merged.set_u64("fabric_workers_lost", result.workers_lost);
     result.merged.set_u64("fabric_ranges", result.ranges);

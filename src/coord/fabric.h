@@ -41,9 +41,9 @@ namespace vscrub {
 struct FabricOptions {
   /// Worker endpoints (vscrubd Unix-socket paths), one driver each.
   std::vector<std::string> workers;
-  /// Campaign parameters, served request names (design, device, sample,
-  /// seed, exhaustive, chunk, gang_*, ...). Range and fabric parameters are
-  /// added per shard; anything unrecognized is not forwarded.
+  /// The fleet request. Its design, tenant and every campaign row of the
+  /// request table (svc/requests.h) are forwarded to each shard, range and
+  /// fabric keys are set per shard, and nothing else is forwarded.
   FlatJson params;
   /// Ranges per worker. Over-sharding (> 1) is what makes reassignment
   /// cheap: a lost worker forfeits a shard, not 1/Nth of the campaign.

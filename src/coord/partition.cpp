@@ -3,21 +3,19 @@
 #include <algorithm>
 
 #include "common/log.h"
-#include "fabric/config_space.h"
 #include "svc/requests.h"
 
 namespace vscrub {
 
 u64 campaign_universe_size(const FlatJson& params) {
-  const ConfigSpace space(device_by_name(params.get_string("device",
-                                                           "campaign")));
-  const u64 total = space.total_bits();
-  if (params.get_bool("exhaustive")) return total;
-  // Same default and clamp as the served campaign_options_from /
-  // build_universe pair: sample 0 (or >= total) means every bit.
-  const u64 sample = params.get_u64("sample", 20000);
-  if (sample == 0 || sample >= total) return total;
-  return sample;
+  // The served parser, so sample/seed/exhaustive mean here exactly what they
+  // mean to the workers; the clamp is build_universe's (sample 0 or >= the
+  // device means every bit). The geometry alone knows the bit count, so no
+  // ConfigSpace is built.
+  const u64 total = device_by_name(request_device(params)).total_config_bits();
+  const u64 sample =
+      campaign_options_from(params, served_gang_width_default()).sample_bits;
+  return sample == 0 || sample >= total ? total : sample;
 }
 
 std::vector<BitRange> partition_universe(u64 universe, u64 shards) {

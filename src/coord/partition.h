@@ -26,10 +26,10 @@ struct BitRange {
 };
 
 /// The number of universe positions the campaign described by `params`
-/// (served request parameter names and defaults) will inject: the device's
-/// total configuration bits for an exhaustive run, else the sample size
-/// clamped to the device. Mirrors build_universe's sizing exactly. Throws
-/// Error on an unknown device name.
+/// will inject: the device's total configuration bits for an exhaustive run,
+/// else the sample size clamped to the device. Reads the request through the
+/// served parser (campaign_options_from), so it also rejects every malformed
+/// campaign row, bad gang engine and unknown device with a typed error.
 u64 campaign_universe_size(const FlatJson& params);
 
 /// Splits [0, universe) into at most `shards` contiguous near-equal ranges

@@ -1,9 +1,9 @@
 #include "core/cli.h"
 
-#include <cstdlib>
-
 #include "common/types.h"
+#include "coord/coordinator.h"
 #include "svc/config.h"
+#include "svc/requests.h"
 
 namespace vscrub {
 
@@ -18,184 +18,118 @@ CliFlag bool_flag(const char* name, const char* help) {
   return CliFlag{name, false, "", help};
 }
 
-CliFlag device_flag() {
-  return value_flag("--device", "D",
-                    "device geometry (see `vscrubctl devices`)");
+CliFlag to_flag(const RequestParam& p) {
+  return CliFlag{param_flag(p), p.type != ParamType::kFlag, p.value_name,
+                 p.help};
+}
+
+/// The work-request rows (svc/requests.h) that apply to `scope`, as flags.
+std::vector<CliFlag> param_flags(u8 scope) {
+  std::vector<CliFlag> flags;
+  for (const RequestParam& p : request_params()) {
+    if ((p.applies_to & scope) != 0) flags.push_back(to_flag(p));
+  }
+  return flags;
+}
+
+/// `base` followed by flags local to one command.
+std::vector<CliFlag> with(std::vector<CliFlag> base,
+                          std::vector<CliFlag> local) {
+  base.insert(base.end(), local.begin(), local.end());
+  return base;
+}
+
+std::vector<CliFlag> from_config(const std::vector<ServiceConfigFlag>& table) {
+  std::vector<CliFlag> flags;
+  for (const ServiceConfigFlag& f : table) {
+    flags.push_back(CliFlag{f.name, f.takes_value, f.value_name, f.help});
+  }
+  return flags;
 }
 
 std::vector<CliFlag> campaign_flags() {
-  return {
-      device_flag(),
-      value_flag("--sample", "N", "sample N random bits (default 20000)"),
-      bool_flag("--exhaustive", "inject every configuration bit"),
-      bool_flag("--persistence", "classify persistent vs transient failures"),
-      value_flag("--threads", "N", "worker threads (0 = hardware)"),
-      value_flag("--chunk", "N", "bits per scheduler chunk (0 = auto)"),
-      value_flag("--checkpoint", "FILE", "checkpoint/resume file"),
-      bool_flag("--progress", "live progress line on stderr"),
-      bool_flag("--no-prune", "disable influence-set pruning"),
-      value_flag("--gang-width", "N",
-                 "bit-sliced gang lanes: 1..64, 256, 512 (default 64)"),
-      bool_flag("--no-gang", "scalar injections only (gang width 1)"),
-      value_flag("--gang-isa", "T",
-                 "gang SIMD tier: auto|scalar|avx2|avx512 (default auto)"),
-      bool_flag("--no-gang-plan",
-                "interpret gang settles (skip the compiled eval plan)"),
-      value_flag("--cache-dir", "DIR", "content-addressed verdict store"),
-      value_flag("--json", "FILE", "write a versioned campaign report"),
-  };
+  return with(param_flags(kCampaignParam),
+              {
+                  value_flag("--threads", "N", "worker threads (0 = hardware)"),
+                  value_flag("--checkpoint", "FILE", "checkpoint/resume file"),
+                  bool_flag("--progress", "live progress line on stderr"),
+                  value_flag("--cache-dir", "DIR",
+                             "content-addressed verdict store"),
+                  value_flag("--json", "FILE",
+                             "write a versioned campaign report"),
+              });
 }
 
 std::vector<CliCommand> build_commands() {
-  std::vector<CliCommand> commands;
-  commands.push_back(
+  // The device row, for the commands that are not work requests.
+  const CliFlag device = to_flag(request_params().front());
+  return {
       {"compile", "<design>", "place, route and emit a configuration image",
        {
-           device_flag(),
+           device,
            bool_flag("--raddrc", "route LUT-ROM constants (half-latch DRC)"),
            bool_flag("--tmr", "apply triple modular redundancy first"),
            value_flag("-o", "FILE", "write the bitstream image"),
-       }});
-  commands.push_back({"campaign", "<design>",
-                      "run a fault-injection campaign", campaign_flags()});
-  {
-    CliCommand recampaign{"recampaign", "<design>",
-                          "delta re-campaign against a verdict store",
-                          campaign_flags()};
-    commands.push_back(std::move(recampaign));
-  }
-  commands.push_back(
+       }},
+      {"campaign", "<design>", "run a fault-injection campaign",
+       campaign_flags()},
+      {"recampaign", "<design>", "delta re-campaign against a verdict store",
+       campaign_flags()},
       {"beam", "<design>", "virtual beam-test correlation run",
        {
-           device_flag(),
+           device,
            value_flag("--observations", "N", "beam observations (default 1000)"),
-       }});
-  commands.push_back(
+       }},
       {"mission", "", "single on-orbit mission simulation",
-       {
-           device_flag(),
-           value_flag("--hours", "H", "mission duration (default 24)"),
-           bool_flag("--flare", "solar-flare environment"),
-           value_flag("--seed", "S", "mission random seed"),
-           bool_flag("--scrub-faults", "enable scrub-datapath fault models"),
-           value_flag("--scrub-policy", "NAME",
-                      "scrub policy (see `vscrubctl policies`)"),
-           value_flag("--trace", "FILE", "write a JSONL event trace"),
-           value_flag("--json", "FILE", "write a versioned mission report"),
-       }});
-  commands.push_back(
+       with(param_flags(kMissionParam),
+            {value_flag("--trace", "FILE", "write a JSONL event trace"),
+             value_flag("--json", "FILE",
+                        "write a versioned mission report")})},
       {"fleet", "", "Monte-Carlo fleet of seeded missions",
-       {
-           device_flag(),
-           value_flag("--missions", "N", "missions in the sweep (default 8)"),
-           value_flag("--hours", "H", "per-mission duration (default 24)"),
-           bool_flag("--flare", "solar-flare environment"),
-           value_flag("--seed", "S", "base seed (mission i uses seed+i)"),
-           value_flag("--threads", "N", "worker threads (0 = hardware)"),
-           bool_flag("--scrub-faults", "enable scrub-datapath fault models"),
-           value_flag("--scrub-policy", "NAME",
-                      "scrub policy, comma list, or 'all' to race them"),
-           value_flag("--json", "FILE", "write a versioned fleet report"),
-       }});
-  commands.push_back({"bist", "", "built-in self-test of the fabric model",
-                      {device_flag()}});
-  {
-    // The serve surface is declared once, in svc/config.h — the CLI table
-    // here is derived from it so a knob cannot exist without its flag.
-    CliCommand serve{"serve", "",
-                     "run the vscrubd campaign service (VSRP1 socket)", {}};
-    for (const ServiceConfigFlag& f : service_config_flags()) {
-      serve.flags.push_back(CliFlag{f.name, f.takes_value, f.value_name,
-                                    f.help});
-    }
-    commands.push_back(std::move(serve));
-  }
-  commands.push_back(
+       with(param_flags(kFleetParam),
+            {value_flag("--threads", "N", "worker threads (0 = hardware)"),
+             value_flag("--json", "FILE", "write a versioned fleet report")})},
+      {"bist", "", "built-in self-test of the fabric model", {device}},
+      // The daemon surfaces are declared once, in svc/config.h and
+      // coord/coordinator.h; the CLI table derives them so a knob cannot
+      // exist without its flag.
+      {"serve", "", "run the vscrubd campaign service (VSRP1 socket)",
+       from_config(service_config_flags())},
       {"submit", "<op> [design]",
        "submit ping|stats|campaign|recampaign|mission|fleet to a vscrubd",
-       {
-           value_flag("--socket", "PATH",
-                      "unix socket path (default /tmp/vscrubd.sock)"),
-           device_flag(),
-           value_flag("--sample", "N", "sample N random bits (default 20000)"),
-           bool_flag("--exhaustive", "inject every configuration bit"),
-           bool_flag("--persistence",
-                     "classify persistent vs transient failures"),
-           value_flag("--gang-width", "N",
-                      "bit-sliced gang lanes: 1..64, 256, 512 (default 64)"),
-           bool_flag("--no-gang", "scalar injections only (gang width 1)"),
-           value_flag("--gang-isa", "T",
-                      "gang SIMD tier: auto|scalar|avx2|avx512 (default auto)"),
-           bool_flag("--no-gang-plan",
-                     "interpret gang settles (skip the compiled eval plan)"),
-           value_flag("--seed", "S", "sample / mission seed"),
-           value_flag("--hours", "H", "mission duration (default 24)"),
-           value_flag("--missions", "N", "fleet missions (default 8)"),
-           bool_flag("--flare", "solar-flare environment"),
-           bool_flag("--scrub-faults", "enable scrub-datapath fault models"),
-           value_flag("--scrub-policy", "NAME",
-                      "scrub policy for mission/fleet (fleet: list or 'all')"),
-           value_flag("--tenant", "NAME",
-                      "fair-share tenant identity for this submission "
-                      "(default: per-connection)"),
-           bool_flag("--progress", "stream progress frames to stderr"),
-           value_flag("--json", "FILE", "write the returned report JSON"),
-       }});
-  commands.push_back(
-      {"fleet-serve", "",
-       "run the campaign-fabric coordinator (VSRP1 socket)",
-       {
-           value_flag("--socket", "PATH",
-                      "coordinator unix socket (default /tmp/vscrub-coord.sock)"),
-           value_flag("--worker", "PATH",
-                      "register a vscrubd worker socket (repeatable)"),
-           value_flag("--cache-dir", "DIR",
-                      "verdict hub store — the fleet-wide reuse tier"),
-           value_flag("--shards-per-worker", "N",
-                      "contiguous bit ranges per worker (default 2)"),
-           value_flag("--lease-ms", "MS",
-                      "reassign a range after this long without a worker "
-                      "frame (default 10000)"),
-           value_flag("--checkpoint-every-chunks", "N",
-                      "worker checkpoint-shipping cadence (default 2)"),
-           value_flag("--max-concurrent", "N",
-                      "concurrent sharded campaigns (default 2)"),
-           value_flag("--stats-json", "FILE",
-                      "write coordinator stats after the drain"),
-       }});
-  commands.push_back(
+       with(param_flags(kCampaignParam | kMissionParam | kFleetParam),
+            {
+                value_flag("--socket", "PATH",
+                           "unix socket path (default /tmp/vscrubd.sock)"),
+                value_flag("--tenant", "NAME",
+                           "fair-share tenant identity for this submission "
+                           "(default: per-connection)"),
+                bool_flag("--progress", "stream progress frames to stderr"),
+                value_flag("--json", "FILE", "write the returned report JSON"),
+            })},
+      {"fleet-serve", "", "run the campaign-fabric coordinator (VSRP1 socket)",
+       with(from_config(coordinator_config_flags()),
+            {value_flag("--stats-json", "FILE",
+                        "write coordinator stats after the drain")})},
       {"fleet-submit", "<design>",
        "submit a sharded campaign to a fleet coordinator",
-       {
-           value_flag("--socket", "PATH",
-                      "coordinator socket (default /tmp/vscrub-coord.sock)"),
-           device_flag(),
-           value_flag("--sample", "N", "sample N random bits (default 20000)"),
-           bool_flag("--exhaustive", "inject every configuration bit"),
-           bool_flag("--persistence",
-                     "classify persistent vs transient failures"),
-           value_flag("--seed", "S", "sample seed"),
-           value_flag("--chunk", "N", "bits per scheduler chunk (0 = auto)"),
-           value_flag("--gang-width", "N",
-                      "bit-sliced gang lanes: 1..64, 256, 512 (default 64)"),
-           bool_flag("--no-gang", "scalar injections only (gang width 1)"),
-           value_flag("--gang-isa", "T",
-                      "gang SIMD tier: auto|scalar|avx2|avx512 (default auto)"),
-           bool_flag("--no-gang-plan",
-                     "interpret gang settles (skip the compiled eval plan)"),
-           bool_flag("--no-prune", "disable influence-set pruning"),
-           bool_flag("--progress", "stream merged fabric progress to stderr"),
-           value_flag("--json", "FILE", "write the merged campaign report"),
-       }});
-  commands.push_back(
-      {"info", "<image.vsb>", "describe a saved configuration image", {}});
-  commands.push_back({"designs", "", "list built-in design generators", {}});
-  commands.push_back({"devices", "", "list device geometries", {}});
-  commands.push_back({"policies", "", "list scrub policies", {}});
-  commands.push_back({"version", "",
-                      "print workbench API, library and report-schema "
-                      "versions", {}});
-  return commands;
+       with(param_flags(kCampaignParam),
+            {
+                value_flag("--socket", "PATH",
+                           "coordinator socket (default "
+                           "/tmp/vscrub-coord.sock)"),
+                bool_flag("--progress",
+                          "stream merged fabric progress to stderr"),
+                value_flag("--json", "FILE",
+                           "write the merged campaign report"),
+            })},
+      {"info", "<image.vsb>", "describe a saved configuration image", {}},
+      {"designs", "", "list built-in design generators", {}},
+      {"devices", "", "list device geometries", {}},
+      {"policies", "", "list scrub policies", {}},
+      {"version", "",
+       "print workbench API, library and report-schema versions", {}},
+  };
 }
 
 }  // namespace
@@ -228,25 +162,19 @@ std::string CliArgs::option(const std::string& name,
 }
 
 u64 CliArgs::option_u64(const std::string& name, u64 dflt) const {
-  for (const auto& [k, v] : options) {
-    if (k == name) return std::strtoull(v.c_str(), nullptr, 10);
-  }
-  return dflt;
+  return flag(name) ? parse_u64_param(name, option(name, "")) : dflt;
 }
 
-double CliArgs::option_double(const std::string& name, double dflt) const {
-  for (const auto& [k, v] : options) {
-    if (k == name) return std::atof(v.c_str());
+JsonReport cli_request(const CliArgs& args, const std::string& kind) {
+  JsonReport request(kind);
+  for (const RequestParam& p : request_params()) {
+    const std::string flag = param_flag(p);
+    if (!args.flag(flag)) continue;
+    set_param(request, p,
+              p.type == ParamType::kFlag ? "true" : args.option(flag, ""),
+              flag);
   }
-  return dflt;
-}
-
-std::vector<std::string> CliArgs::option_all(const std::string& name) const {
-  std::vector<std::string> values;
-  for (const auto& [k, v] : options) {
-    if (k == name) values.push_back(v);
-  }
-  return values;
+  return request;
 }
 
 CliArgs cli_parse(const CliCommand& cmd,
@@ -282,8 +210,9 @@ CliArgs cli_parse(const CliCommand& cmd,
   return args;
 }
 
-std::string cli_help(const CliCommand& cmd) {
-  std::string out = "usage: vscrubctl " + cmd.name;
+std::string cli_help(const CliCommand& cmd, const std::string& invocation) {
+  std::string out =
+      "usage: " + (invocation.empty() ? "vscrubctl " + cmd.name : invocation);
   if (!cmd.positional.empty()) out += " " + cmd.positional;
   if (!cmd.flags.empty()) out += " [flags]";
   out += "\n  " + cmd.help + "\n";
@@ -291,7 +220,7 @@ std::string cli_help(const CliCommand& cmd) {
   for (const CliFlag& f : cmd.flags) {
     std::string lhs = "  " + f.name;
     if (f.takes_value) lhs += " " + f.value_name;
-    while (lhs.size() < 22) lhs += ' ';
+    do lhs += ' '; while (lhs.size() < 22);
     out += lhs + f.help + "\n";
   }
   return out;

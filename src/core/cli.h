@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "report/json.h"
 
 namespace vscrub {
 
@@ -43,11 +44,9 @@ struct CliArgs {
 
   bool flag(const std::string& name) const;
   std::string option(const std::string& name, const std::string& dflt) const;
+  /// Strict numeric value: junk, a sign, trailing bytes or overflow throw a
+  /// ParamError naming the flag.
   u64 option_u64(const std::string& name, u64 dflt) const;
-  double option_double(const std::string& name, double dflt) const;
-  /// Every value of a repeatable flag, in command-line order (repeated
-  /// flags accumulate in `options` — e.g. fleet-serve's --worker).
-  std::vector<std::string> option_all(const std::string& name) const;
 };
 
 /// Parses everything after the command word against the command's declared
@@ -55,8 +54,17 @@ struct CliArgs {
 CliArgs cli_parse(const CliCommand& cmd,
                   const std::vector<std::string>& argv);
 
+/// The work request a command line describes: one field per work-request
+/// table row (svc/requests.h) given as a flag, keyed by the row's request
+/// key, in a report of kind `kind`. Rows not given stay unset, so the
+/// request parser's defaults apply. Throws ParamError on a malformed value.
+JsonReport cli_request(const CliArgs& args, const std::string& kind);
+
 /// Help text for one command: usage line plus one line per declared flag.
-std::string cli_help(const CliCommand& cmd);
+/// `invocation` replaces "vscrubctl <command>" in the usage line (vscrubd
+/// runs the serve commands as plain `vscrubd`).
+std::string cli_help(const CliCommand& cmd,
+                     const std::string& invocation = "");
 
 /// The all-commands usage screen.
 std::string cli_usage();

@@ -2,6 +2,8 @@
 
 namespace vscrub {
 
+// 5.0.0: ServiceClient removed (kWorkbenchApiVersion 5) — ServiceSession is
+// the one client API; one work-request parameter table for every entry point.
 // 4.0.0: session-oriented service API (kWorkbenchApiVersion 4) — epoll
 // event-loop transport, weighted fair-share scheduler with campaign
 // preemption, ServiceSession/JobHandle, ServiceConfig consolidation.
@@ -10,6 +12,6 @@ namespace vscrub {
 // policy race + BENCH_policies.json.
 // 2.0.0: the deprecated static Workbench::sensitive_set forwarder is gone
 // (kWorkbenchApiVersion 2); verdict store + recampaign + report/json added.
-const char* version() { return "4.0.0"; }
+const char* version() { return "5.0.0"; }
 
 }  // namespace vscrub

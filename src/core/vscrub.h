@@ -43,18 +43,18 @@ namespace vscrub {
 /// Library version.
 const char* version();
 
-/// Workbench API version. Bumped to 4 with the session-oriented service
-/// API: ServiceSession::submit() returns a JobHandle (poll/wait/cancel,
-/// streaming events) and ServiceClient is a thin wrapper over it;
-/// ServerOptions/ServiceOptions merged into one validated ServiceConfig
-/// (svc/config.h) with fair-share scheduling (--sched-weight) and campaign
-/// preemption (--preempt) knobs; the served gang-width default follows the
-/// widest compiled SIMD tier. Served results stay bit-identical to v3 — the
-/// wire protocol, report schemas and campaign semantics are unchanged.
+/// Workbench API version. Bumped to 5 when ServiceClient was removed:
+/// ServiceSession (svc/session.h) is the one client API. Work-request
+/// parameters come from one table (request_params() in svc/requests.h) that
+/// every entry point reads; CoordinatorConfig gained set() and a flag table.
+///
+/// v4 (session-oriented service API): ServiceSession::submit() returns a
+/// JobHandle (poll/wait/cancel, streaming events); one validated
+/// ServiceConfig with fair-share scheduling and campaign preemption.
 ///
 /// v3 (ScrubPolicy redesign): pluggable scrub policy objects, the
 /// RepairMode enum replacing the repair bool pair, the fleet policy race.
-inline constexpr int kWorkbenchApiVersion = 4;
+inline constexpr int kWorkbenchApiVersion = 5;
 
 class Workbench {
  public:
@@ -110,23 +110,6 @@ class Workbench {
     return Payload(design, std::move(options), std::move(sensitive_bits));
   }
 
-  /// Monte-Carlo seed sweep: N independent missions across the thread pool,
-  /// aggregated into availability confidence intervals and latency
-  /// percentiles. Deterministic for any thread count.
-  FleetResult fleet(const PlacedDesign& design,
-                    const std::unordered_set<u64>& sensitive_bits,
-                    const FleetOptions& options = {}) const {
-    return run_fleet(design, sensitive_bits, options);
-  }
-
-  /// The scrub-policy laboratory (v3): the same seed sweep raced once per
-  /// policy, yielding per-policy availability/MTTR/bandwidth curves.
-  PolicyRaceResult policy_race(const PlacedDesign& design,
-                               const std::unordered_set<u64>& sensitive_bits,
-                               const PolicyRaceOptions& options = {}) const {
-    return run_policy_race(design, sensitive_bits, options);
-  }
-
   struct BistReport {
     WireTestResult wire;
     ClbBistResult clb;
@@ -145,7 +128,7 @@ class Workbench {
     }
     {
       const PlacedDesign pattern = compile(bist_clb_cascade(6, 20));
-      FabricSim fabric(space_);
+      FabricSim fabric(space_, pattern.bitstream);  // the pattern under test
       for (const auto& f : faults) fabric.inject_permanent_fault(f);
       report.clb = run_clb_bist(pattern, fabric, clb_cycles);
     }

@@ -26,9 +26,12 @@ constexpr u64 kMinDefaultChunk = 512;
 /// Chunk sizing derives from neither the thread count nor the gang width:
 /// results, progress and checkpoints must be comparable across machines and
 /// engines (a checkpoint taken on an 8-way AVX-512 host must resume on a
-/// 1-way scalar one; the width is not in the campaign fingerprint).
+/// 1-way scalar one; the width is not in the campaign fingerprint). A
+/// requested chunk larger than the universe runs as one chunk: chunk counts
+/// and bounds are `n + chunk - 1` arithmetic, which a chunk near 2^64 would
+/// wrap to zero chunks (a silently skipped campaign).
 u64 resolve_chunk_size(u64 requested, u64 n) {
-  if (requested != 0) return requested;
+  if (requested != 0) return std::min(requested, std::max<u64>(n, 1));
   return std::clamp<u64>(n / 256, kMinDefaultChunk, 4096);
 }
 
@@ -142,6 +145,9 @@ CampaignResult run_campaign(const PlacedDesign& design,
                             const CampaignOptions& options) {
   const auto start = std::chrono::steady_clock::now();
   const ConfigSpace& space = *design.space;
+  // The injectors validate this too, but they are built inside pool tasks,
+  // which must not throw: a width or tier this host cannot run fails here.
+  validate_gang_engine(options.injection);
 
   std::vector<u64> bits = build_universe(space, options);
   // Fabric range restriction: slice the deterministic universe *after* it is

@@ -24,19 +24,19 @@ class PhaseTimer {
 };
 }  // namespace
 
+void validate_gang_engine(const InjectionOptions& options) {
+  if (options.gang_width >= 2) validate_gang_width(options.gang_width);
+  const SimdIsa requested_isa = parse_simd_isa(options.gang_isa);
+  if (requested_isa != SimdIsa::kAuto) (void)resolve_simd_isa(requested_isa);
+}
+
 SeuInjector::SeuInjector(const PlacedDesign& design,
                          const InjectionOptions& options)
     : design_(&design),
       options_(options),
       sim_(design.space, design.bitstream),
       harness_(design, sim_, options.stim_seed) {
-  // Fail fast on unsupported gang options: a campaign should reject a bad
-  // width/ISA at submission, not after hours of scalar injections when the
-  // first gang batch finally dispatches. Width 0/1 means "gang off" and
-  // needs no validation.
-  if (options_.gang_width >= 2) validate_gang_width(options_.gang_width);
-  const SimdIsa requested_isa = parse_simd_isa(options_.gang_isa);
-  if (requested_isa != SimdIsa::kAuto) (void)resolve_simd_isa(requested_isa);
+  validate_gang_engine(options_);  // now, not at the first gang batch
   if (design.dynamic_lut_sites.empty()) {
     options_.warmup_cycles =
         std::min(options_.warmup_cycles, options_.warmup_cycles_no_dynamic);

@@ -138,6 +138,10 @@ struct InjectionResult {
 SimTime modeled_injection_iteration_time(const PlacedDesign& design,
                                          const InjectionOptions& options);
 
+/// Rejects a gang width this binary lacks (GangWidthError) or an ISA tier
+/// this binary/CPU cannot run (SimdIsaError). Width 0/1 means "gang off".
+void validate_gang_engine(const InjectionOptions& options);
+
 /// Drives injections against one fabric instance. Reusable across many bits;
 /// owns the fabric, harness and cached golden trace.
 class GangSim;

@@ -1,37 +1,48 @@
 #include "svc/config.h"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 
 namespace vscrub {
 
-namespace {
-
-/// Strict u64 parse: the whole string must be a decimal number. The CLI's
-/// permissive option_u64 (atoi semantics) is fine for one-shot commands; a
-/// daemon's config deserves to reject "--queue 1x6" instead of serving with
-/// queue 1.
-u64 parse_u64_or_throw(const std::string& flag, const std::string& value,
-                       u64 max = std::numeric_limits<u64>::max()) {
-  if (value.empty()) {
-    throw ServiceConfigError("serve: " + flag + " needs a number");
-  }
+u64 parse_u64_param(const std::string& name, const std::string& text,
+                    u64 max) {
   char* end = nullptr;
   errno = 0;
-  const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-  if (errno != 0 || end == value.c_str() || *end != '\0' ||
-      value[0] == '-') {
-    throw ServiceConfigError("serve: " + flag + " is not a number: '" +
-                             value + "'");
+  const unsigned long long parsed = std::strtoull(text.c_str(), &end, 10);
+  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])) ||
+      errno != 0 || *end != '\0') {
+    throw ParamError(name + " is not a number: '" + text + "'");
   }
   if (parsed > max) {
-    throw ServiceConfigError("serve: " + flag + " out of range (max " +
-                             std::to_string(max) + "): '" + value + "'");
+    throw ParamError(name + " out of range (max " + std::to_string(max) +
+                     "): '" + text + "'");
   }
   return static_cast<u64>(parsed);
 }
 
-}  // namespace
+double parse_double_param(const std::string& name, const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const double parsed = std::strtod(text.c_str(), &end);
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])) ||
+      errno != 0 || *end != '\0' || !std::isfinite(parsed)) {
+    throw ParamError(name + " is not a number: '" + text + "'");
+  }
+  return parsed;
+}
+
+u64 parse_config_u64(const std::string& name, const std::string& text,
+                     u64 max) {
+  try {
+    return parse_u64_param(name, text, max);
+  } catch (const ParamError& e) {
+    throw ServiceConfigError(e.what());
+  }
+}
 
 std::map<std::string, u64> parse_sched_weights(const std::string& spec) {
   std::map<std::string, u64> weights;
@@ -53,7 +64,7 @@ std::map<std::string, u64> parse_sched_weights(const std::string& spec) {
     }
     const std::string name = entry.substr(0, eq);
     const u64 weight =
-        parse_u64_or_throw("--sched-weight", entry.substr(eq + 1));
+        parse_config_u64("serve: --sched-weight", entry.substr(eq + 1));
     if (weight == 0) {
       throw ServiceConfigError(
           "serve: --sched-weight weight must be >= 1 for '" + name + "'");
@@ -95,31 +106,33 @@ const std::vector<ServiceConfigFlag>& service_config_flags() {
 }
 
 void ServiceConfig::set(const std::string& flag, const std::string& value) {
+  const auto number = [&flag, &value](u64 max) {
+    return parse_config_u64("serve: " + flag, value, max);
+  };
   if (flag == "--socket") {
     socket_path = value;
   } else if (flag == "--tcp-port") {
-    tcp_port = static_cast<u16>(parse_u64_or_throw(flag, value, 65535));
+    tcp_port = static_cast<u16>(number(65535));
   } else if (flag == "--queue") {
-    queue_capacity = static_cast<std::size_t>(parse_u64_or_throw(flag, value));
+    queue_capacity = static_cast<std::size_t>(number(~u64{0}));
   } else if (flag == "--executors") {
-    executors = static_cast<unsigned>(parse_u64_or_throw(flag, value, 4096));
+    executors = static_cast<unsigned>(number(4096));
   } else if (flag == "--threads") {
-    pool_threads = static_cast<unsigned>(parse_u64_or_throw(flag, value, 4096));
+    pool_threads = static_cast<unsigned>(number(4096));
   } else if (flag == "--cache-dir") {
     cache_dir = value;
   } else if (flag == "--retry-after") {
-    retry_after_ms = parse_u64_or_throw(flag, value);
+    retry_after_ms = number(~u64{0});
   } else if (flag == "--checkpoint-every") {
-    checkpoint_every_chunks = parse_u64_or_throw(flag, value);
+    checkpoint_every_chunks = number(~u64{0});
   } else if (flag == "--send-timeout") {
-    send_timeout_ms = static_cast<int>(
-        parse_u64_or_throw(flag, value, std::numeric_limits<int>::max()));
+    send_timeout_ms = static_cast<int>(number(std::numeric_limits<int>::max()));
   } else if (flag == "--sched-weight") {
     for (const auto& [name, weight] : parse_sched_weights(value)) {
       sched_weights[name] = weight;
     }
   } else if (flag == "--preempt") {
-    preempt_chunks = parse_u64_or_throw(flag, value);
+    preempt_chunks = number(~u64{0});
   } else if (flag == "--spool-dir") {
     spool_dir = value;
   } else if (flag == "--stats-json") {

@@ -6,9 +6,10 @@
 //
 // The declarative flag table below (service_config_flags()) is the single
 // source of truth for the `serve` CLI surface: core/cli builds the serve
-// command from it, serve_common applies parsed flags through set(), and the
-// CLI contract tests cover every field automatically. Adding a knob means
-// adding one table row + one set() case — no flag can drift from its field.
+// command from it, tools/serve_common.h applies parsed flags through set(),
+// and the CLI contract tests cover every field automatically. Adding a knob
+// means adding one table row + one set() case — no flag can drift from its
+// field.
 //
 // Every setter failure is a typed ServiceConfigError (same discipline as
 // GangWidthError / SimdIsaError): junk numbers, malformed weight specs and
@@ -25,12 +26,31 @@
 
 namespace vscrub {
 
+/// Typed error for a parameter value that does not parse — a CLI flag, a
+/// work-request key or a daemon setting. The message names the parameter.
+class ParamError : public Error {
+ public:
+  explicit ParamError(const std::string& what) : Error(what) {}
+};
+
 /// Typed error for rejected service configuration: unknown flags, unparsable
 /// values, and validate() consistency failures.
-class ServiceConfigError : public Error {
+class ServiceConfigError : public ParamError {
  public:
-  explicit ServiceConfigError(const std::string& what) : Error(what) {}
+  explicit ServiceConfigError(const std::string& what) : ParamError(what) {}
 };
+
+/// The strict number parses every flag and request reader shares: the whole
+/// text must be one decimal number — no sign (u64), no trailing bytes, no
+/// overflow, nothing above `max`; doubles must be finite. Throws ParamError
+/// naming `name`.
+u64 parse_u64_param(const std::string& name, const std::string& text,
+                    u64 max = ~u64{0});
+double parse_double_param(const std::string& name, const std::string& text);
+/// parse_u64_param for a daemon setting: the same checks, thrown as a
+/// ServiceConfigError.
+u64 parse_config_u64(const std::string& name, const std::string& text,
+                     u64 max = ~u64{0});
 
 /// One row of the serve flag surface; mirrors core/cli's CliFlag shape
 /// without depending on it (svc sits below core in the link order).

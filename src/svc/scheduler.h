@@ -95,14 +95,6 @@ class FairScheduler {
     return n;
   }
 
-  /// Applies `fn(job)` to every queued job (drain bookkeeping).
-  template <typename Fn>
-  void for_each(Fn fn) {
-    for (auto& [name, l] : lanes_) {
-      for (Job& job : l.queue) fn(job);
-    }
-  }
-
  private:
   struct Lane {
     u64 pass = 0;

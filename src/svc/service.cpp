@@ -54,22 +54,10 @@ CampaignService::~CampaignService() {
   pool_.shutdown();
 }
 
-JsonReport CampaignService::error_report(const std::string& code,
-                                         const std::string& message) const {
-  return JsonReport("error")
-      .set_string("code", code)
-      .set_string("error", message);
-}
-
 JsonReport CampaignService::busy_report(const std::string& reason) const {
   return JsonReport("busy")
       .set_string("reason", reason)
       .set_u64("retry_after_ms", config_.retry_after_ms);
-}
-
-void CampaignService::reply(const Emit& emit, FrameKind kind, u64 request_id,
-                            const JsonReport& report) const {
-  emit(Frame{kind, request_id, report.to_json()});
 }
 
 void CampaignService::handle(const Frame& request, Emit emit, u64 client_id) {
@@ -86,20 +74,11 @@ void CampaignService::handle(const Frame& request, Emit emit, u64 client_id) {
     case FrameKind::kStats:
       reply(emit, FrameKind::kResult, request.request_id, stats_report());
       return;
-    case FrameKind::kCancel: {
-      u64 target = 0;
-      try {
-        target = FlatJson::parse(request.payload).get_u64("target_id", 0);
-      } catch (const Error& e) {
-        reply(emit, FrameKind::kError, request.request_id,
-              error_report("bad_request", e.what()));
-        return;
-      }
-      reply(emit, FrameKind::kResult, request.request_id,
-            JsonReport("cancel").set_u64("target_id", target)
-                .set_bool("cancelled", cancel(target, client_id)));
+    case FrameKind::kCancel:
+      answer_cancel(request, emit, [&](u64 target) {
+        return cancel(target, client_id);
+      });
       return;
-    }
     case FrameKind::kStoreLookup:
     case FrameKind::kStorePublish:
       // Remote verdict tier, answered inline against the process-wide store:
@@ -199,45 +178,20 @@ void CampaignService::handle(const Frame& request, Emit emit, u64 client_id) {
 
 void CampaignService::handle_store_request(const Frame& request,
                                            const Emit& emit) {
-  if (store_ == nullptr) {
-    reply(emit, FrameKind::kError, request.request_id,
-          error_report("no_store",
-                       "this daemon runs without a verdict store "
-                       "(start it with --cache-dir to serve the fabric's "
-                       "remote tier)"));
-    return;
-  }
-  try {
-    const FlatJson params = FlatJson::parse(
-        request.payload.empty() ? "{}" : request.payload);
-    if (request.kind == FrameKind::kStoreLookup) {
-      u64 keys = 0, hits = 0;
-      const JsonReport report =
-          answer_store_lookup(*store_, params, &keys, &hits);
-      {
-        std::lock_guard mlock(metrics_mutex_);
-        metrics_.counter("store_lookups").add(keys);
-        metrics_.counter("store_lookup_hits").add(hits);
-      }
-      reply(emit, FrameKind::kResult, request.request_id, report);
+  StoreTraffic traffic;
+  const Frame reply = answer_store_request(store_.get(), request, traffic);
+  {
+    std::lock_guard mlock(metrics_mutex_);
+    if (reply.kind != FrameKind::kResult) {
+      if (store_ != nullptr) metrics_.counter("bad_requests").add();
+    } else if (request.kind == FrameKind::kStoreLookup) {
+      metrics_.counter("store_lookups").add(traffic.lookups);
+      metrics_.counter("store_lookup_hits").add(traffic.hits);
     } else {
-      u64 entries = 0;
-      const JsonReport report =
-          answer_store_publish(*store_, params, &entries);
-      {
-        std::lock_guard mlock(metrics_mutex_);
-        metrics_.counter("store_publishes").add(entries);
-      }
-      reply(emit, FrameKind::kResult, request.request_id, report);
+      metrics_.counter("store_publishes").add(traffic.publishes);
     }
-  } catch (const Error& e) {
-    {
-      std::lock_guard mlock(metrics_mutex_);
-      metrics_.counter("bad_requests").add();
-    }
-    reply(emit, FrameKind::kError, request.request_id,
-          error_report("bad_request", e.what()));
   }
+  emit(reply);
 }
 
 bool CampaignService::cancel(u64 request_id, u64 client_id) {

@@ -83,6 +83,38 @@ class FrameService {
   virtual JsonReport stats_report() const = 0;
 };
 
+/// Emits `report` as a `kind` frame answering `request_id`.
+inline void reply(const FrameService::Emit& emit, FrameKind kind,
+                  u64 request_id, const JsonReport& report) {
+  emit(Frame{kind, request_id, report.to_json()});
+}
+
+/// The typed error payload every service replies with: {code, error}.
+inline JsonReport error_report(const std::string& code,
+                               const std::string& message) {
+  return JsonReport("error").set_string("code", code).set_string("error",
+                                                                  message);
+}
+
+/// Answers a kCancel frame: `cancel(target_id)` says whether the target was
+/// still live. A malformed payload gets a typed bad_request error.
+inline void answer_cancel(const Frame& request,
+                          const FrameService::Emit& emit,
+                          const std::function<bool(u64)>& cancel) {
+  u64 target = 0;
+  try {
+    target = FlatJson::parse(request.payload).get_u64("target_id", 0);
+  } catch (const Error& e) {
+    reply(emit, FrameKind::kError, request.request_id,
+          error_report("bad_request", e.what()));
+    return;
+  }
+  reply(emit, FrameKind::kResult, request.request_id,
+        JsonReport("cancel")
+            .set_u64("target_id", target)
+            .set_bool("cancelled", cancel(target)));
+}
+
 class CampaignService : public FrameService {
  public:
   using Emit = FrameService::Emit;
@@ -183,10 +215,6 @@ class CampaignService : public FrameService {
   /// progress callback.
   bool should_preempt(const Job& job, u64 chunks_done);
   std::string checkpoint_path_for(const Job& job) const;
-  void reply(const Emit& emit, FrameKind kind, u64 request_id,
-             const JsonReport& report) const;
-  JsonReport error_report(const std::string& code,
-                          const std::string& message) const;
   JsonReport busy_report(const std::string& reason) const;
 
   ServiceConfig config_;

@@ -71,14 +71,6 @@ constexpr std::size_t kMaxEventBacklog = 256;
 
 }  // namespace
 
-const char* session_error_name(SessionErrorCode code) {
-  switch (code) {
-    case SessionErrorCode::kConnectionLost: return "connection_lost";
-    case SessionErrorCode::kReconnectFailed: return "reconnect_failed";
-  }
-  return "unknown";
-}
-
 struct JobHandle::State {
   u64 id = 0;
   /// Delivery callback; once set, the reader delivers directly. Guarded by
@@ -421,15 +413,6 @@ JobHandle ServiceSession::submit(FrameKind kind, const std::string& payload,
 Frame ServiceSession::call(FrameKind kind, const std::string& payload,
                            const EventFn& on_event) {
   return submit(kind, payload).wait(on_event);
-}
-
-bool ServiceSession::cancel_request(u64 target_id) {
-  VSCRUB_CHECK(core_ != nullptr, "client: cancel on a moved-from session");
-  const Frame reply = core_->call_inline(
-      FrameKind::kCancel,
-      JsonReport("cancel_request").set_u64("target_id", target_id).to_json());
-  return reply.kind == FrameKind::kResult &&
-         FlatJson::parse(reply.payload).get_bool("cancelled", false);
 }
 
 bool ServiceSession::connected() const {

@@ -4,8 +4,8 @@
 // demultiplexes every inbound frame to the job it belongs to. submit()
 // returns immediately with a JobHandle; any number of jobs ride one session
 // concurrently, each with poll()/wait()/cancel() and an optional streaming
-// event callback for its kAccepted/kProgress frames. The old blocking
-// ServiceClient (svc/client.h) is a thin wrapper over this.
+// event callback for its kAccepted/kProgress frames; call() is the blocking
+// submit-and-wait.
 //
 // Lifetimes: a JobHandle keeps the underlying session core (socket + reader)
 // alive, so a handle may outlive the ServiceSession object that produced it
@@ -45,7 +45,6 @@ enum class SessionErrorCode : u8 {
   kConnectionLost,   ///< the connection died (no reconnect, or mid-redial)
   kReconnectFailed,  ///< every reconnect attempt was exhausted
 };
-const char* session_error_name(SessionErrorCode code);
 
 /// The typed session failure: what() keeps the human-readable reason, code()
 /// says whether this was a plain drop or an exhausted reconnect loop.
@@ -139,9 +138,6 @@ class ServiceSession {
   Frame ping() { return call(FrameKind::kPing, ""); }
   /// Server metrics snapshot (kResult, service_stats payload).
   Frame stats() { return call(FrameKind::kStats, ""); }
-  /// Asks the server to cancel request `target_id`; true when the server
-  /// still knew the request (queued or running).
-  bool cancel_request(u64 target_id);
 
   /// False once the reader thread has observed the connection close.
   bool connected() const;

@@ -5,6 +5,7 @@
 
 #include "common/log.h"
 #include "report/json.h"
+#include "svc/service.h"
 
 namespace vscrub {
 namespace {
@@ -193,30 +194,44 @@ std::vector<std::pair<VerdictKey, StoredVerdict>> decode_store_entries(
   return entries;
 }
 
-JsonReport answer_store_lookup(VerdictStore& store, const FlatJson& params,
-                               u64* out_keys, u64* out_hits) {
-  const std::vector<VerdictKey> keys =
-      decode_store_keys(params.get_string("keys"));
-  std::vector<std::optional<StoredVerdict>> verdicts(keys.size());
-  u64 found = 0;
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    verdicts[i] = store.find(keys[i]);
-    if (verdicts[i].has_value()) ++found;
+Frame answer_store_request(VerdictStore* store, const Frame& request,
+                           StoreTraffic& traffic) {
+  const auto error = [&request](const char* code, const std::string& what) {
+    return Frame{FrameKind::kError, request.request_id,
+                 error_report(code, what).to_json()};
+  };
+  if (store == nullptr) {
+    return error("no_store",
+                 "this daemon runs without a verdict store (start it with "
+                 "--cache-dir to serve the fleet's remote tier)");
   }
-  if (out_keys != nullptr) *out_keys = keys.size();
-  if (out_hits != nullptr) *out_hits = found;
-  return JsonReport("store_verdicts")
-      .set_u64("hits", found)
-      .set_string("verdicts", encode_store_verdicts(verdicts));
-}
-
-JsonReport answer_store_publish(VerdictStore& store, const FlatJson& params,
-                                u64* out_entries) {
-  const std::vector<std::pair<VerdictKey, StoredVerdict>> entries =
-      decode_store_entries(params.get_string("entries"));
-  for (const auto& [key, verdict] : entries) store.put(key, verdict);
-  if (out_entries != nullptr) *out_entries = entries.size();
-  return JsonReport("store_ack").set_u64("accepted", entries.size());
+  JsonReport reply("store_ack");
+  try {
+    const FlatJson params =
+        FlatJson::parse(request.payload.empty() ? "{}" : request.payload);
+    if (request.kind == FrameKind::kStoreLookup) {
+      const std::vector<VerdictKey> keys =
+          decode_store_keys(params.get_string("keys"));
+      std::vector<std::optional<StoredVerdict>> verdicts(keys.size());
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        verdicts[i] = store->find(keys[i]);
+        if (verdicts[i].has_value()) ++traffic.hits;
+      }
+      traffic.lookups = keys.size();
+      reply = JsonReport("store_verdicts")
+                  .set_u64("hits", traffic.hits)
+                  .set_string("verdicts", encode_store_verdicts(verdicts));
+    } else {
+      const std::vector<std::pair<VerdictKey, StoredVerdict>> entries =
+          decode_store_entries(params.get_string("entries"));
+      for (const auto& [key, verdict] : entries) store->put(key, verdict);
+      traffic.publishes = entries.size();
+      reply.set_u64("accepted", entries.size());
+    }
+  } catch (const Error& e) {
+    return error("bad_request", e.what());
+  }
+  return Frame{FrameKind::kResult, request.request_id, reply.to_json()};
 }
 
 VsrpRemoteStore::VsrpRemoteStore(const std::string& socket_path,

@@ -45,18 +45,20 @@ std::string encode_store_entries(
 std::vector<std::pair<VerdictKey, StoredVerdict>> decode_store_entries(
     const std::string& text);
 
-/// Answers one kStoreLookup request payload against `store`, returning the
-/// kResult "store_verdicts" report. `out_keys`/`out_hits` (optional) get
-/// the batch size and hit count for the caller's metrics. Throws Error on
-/// a malformed payload — the caller turns that into a typed kError reply.
-JsonReport answer_store_lookup(VerdictStore& store, const FlatJson& params,
-                               u64* out_keys = nullptr,
-                               u64* out_hits = nullptr);
-/// Answers one kStorePublish request payload against `store`, returning the
-/// kResult "store_ack" report. `out_entries` (optional) gets the batch
-/// size. Throws Error on a malformed payload.
-JsonReport answer_store_publish(VerdictStore& store, const FlatJson& params,
-                                u64* out_entries = nullptr);
+/// What one answer_store_request call served, for its daemon's stats.
+struct StoreTraffic {
+  u64 lookups = 0;  ///< keys probed
+  u64 hits = 0;
+  u64 publishes = 0;  ///< entries stored
+};
+
+/// Answers a kStoreLookup / kStorePublish frame against `store`: the fleet's
+/// remote verdict tier, which the coordinator or any cache-enabled vscrubd
+/// can serve. Returns the kResult reply ("store_verdicts" / "store_ack"), or
+/// a typed kError: "no_store" when `store` is null, "bad_request" for a
+/// malformed payload. `traffic` gets the served counts.
+Frame answer_store_request(VerdictStore* store, const Frame& request,
+                           StoreTraffic& traffic);
 
 /// The coordinator-backed verdict tier a fabric worker campaign probes:
 /// one VSRP1 session (with reconnect) to the coordinator, one kStoreLookup

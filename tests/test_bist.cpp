@@ -3,6 +3,7 @@
 #include <set>
 
 #include "bist/bist.h"
+#include "core/vscrub.h"
 #include "designs/test_designs.h"
 #include "pnr/pnr.h"
 
@@ -115,6 +116,28 @@ TEST(ClbBist, DetectsStuckOutputInCascade) {
     if (r.error_detected) ++detected;
   }
   EXPECT_GE(detected, tried / 2) << "BIST missed too many injected faults";
+}
+
+TEST(ClbBist, WorkbenchBistRunsTheLoadedPattern) {
+  // Workbench::bist compiles the same cascade onto its device and must load
+  // it before the run: on a blank fabric the outputs stay 0 and every fault
+  // passes unseen.
+  const Workbench bench(device_tiny(12, 12));
+  EXPECT_FALSE(bench.bist().clb.error_detected);
+  const PlacedDesign pattern = bench.compile(bist_clb_cascade(6, 20));
+  int detected = 0, tried = 0;
+  for (const RoutedNet& net : pattern.routed_nets) {
+    if (net.wires.empty() || tried >= 8) continue;
+    ++tried;
+    FabricSim::PermanentFault fault;
+    fault.kind = FabricSim::StuckKind::kWireStuck1;
+    fault.tile = net.wires[0].tile;
+    fault.dir = net.wires[0].dir;
+    fault.windex = net.wires[0].windex;
+    if (bench.bist({fault}, 300).clb.error_detected) ++detected;
+  }
+  ASSERT_GT(tried, 0);
+  EXPECT_GE(detected, tried / 2) << "Workbench BIST missed injected faults";
 }
 
 TEST(ClbBist, ComplementaryPatternsIncreaseCoverage) {

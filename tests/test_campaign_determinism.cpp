@@ -74,6 +74,21 @@ TEST(CampaignDeterminism, ChunkSizeInvariance) {
   const auto big_chunks = run_campaign(design, opts.with_chunk_size(1024));
   expect_same_result(small_chunks, big_chunks);
   EXPECT_EQ(small_chunks.pruned, big_chunks.pruned);
+  // A chunk beyond the universe runs it as one chunk: `n + chunk - 1` must
+  // not wrap to zero chunks and skip the campaign.
+  u64 chunks = 0;
+  const auto default_chunks = run_campaign(design, opts.with_chunk_size(0));
+  const auto one_chunk = run_campaign(
+      design, CampaignOptions(opts).with_chunk_size(~u64{0}).with_progress(
+                  [&](const CampaignProgress& p) {
+                    chunks = p.chunks_total;
+                    return true;
+                  }));
+  EXPECT_EQ(chunks, 1u);
+  EXPECT_EQ(one_chunk.injections, 3000u);
+  expect_same_result(default_chunks, one_chunk);
+  EXPECT_EQ(default_chunks.sensitive_digest(design),
+            one_chunk.sensitive_digest(design));
 }
 
 // The default chunk for a 2,000-bit sample is the 512-bit floor: 4 chunks,

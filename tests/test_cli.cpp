@@ -8,6 +8,8 @@
 
 #include "core/cli.h"
 #include "sim/simd.h"
+#include "svc/config.h"
+#include "svc/requests.h"
 
 namespace vscrub {
 namespace {
@@ -125,6 +127,25 @@ TEST(Cli, GangEngineFlagsPresentWhereGangRuns) {
     EXPECT_TRUE(has(cmd, "--gang-isa")) << name;
     EXPECT_TRUE(has(cmd, "--no-gang-plan")) << name;
   }
+  // Every campaign row of the request parameter table is a flag, with the
+  // table's spelling, arity and help text, on every command that runs or
+  // submits a campaign.
+  for (const char* name :
+       {"campaign", "recampaign", "submit", "fleet-submit"}) {
+    const CliCommand* cmd = cli_find(name);
+    ASSERT_NE(cmd, nullptr) << name;
+    for (const RequestParam& p : request_params()) {
+      if ((p.applies_to & kCampaignParam) == 0) continue;
+      const CliFlag* flag = nullptr;
+      for (const CliFlag& f : cmd->flags) {
+        if (f.name == param_flag(p)) flag = &f;
+      }
+      ASSERT_NE(flag, nullptr) << name << " lacks " << param_flag(p);
+      EXPECT_EQ(flag->help, p.help) << name << " " << flag->name;
+      EXPECT_EQ(flag->takes_value, p.type != ParamType::kFlag)
+          << name << " " << flag->name;
+    }
+  }
   const CliCommand* campaign = cli_find("campaign");
   const CliArgs args = cli_parse(
       *campaign, {"lfsrmult", "--gang-width", "256", "--gang-isa", "avx2",
@@ -165,6 +186,71 @@ TEST(Cli, GangWidthAndIsaValuesRejectWithTypedErrors) {
     EXPECT_NE(what.find("sse9"), std::string::npos) << what;
     EXPECT_NE(what.find("scalar"), std::string::npos) << what;
   }
+}
+
+TEST(Cli, MalformedValuesRejectWithTypedErrorsNamingTheParameter) {
+  const CliCommand* campaign = cli_find("campaign");
+  ASSERT_NE(campaign, nullptr);
+  // Junk, unit suffixes, signs, overflow and empty values: each a ParamError
+  // naming the flag, never a silent 0 or a truncated prefix.
+  for (const char* bad : {"junk", "1k", "-1", "+5", " 7", "7 ",
+                          "18446744073709551616", ""}) {
+    const CliArgs args =
+        cli_parse(*campaign, {"lfsr", "--sample", bad, "--threads", bad});
+    try {
+      (void)cli_request(args, "campaign_request");
+      FAIL() << "--sample '" << bad << "' accepted";
+    } catch (const ParamError& e) {
+      EXPECT_NE(std::string(e.what()).find("--sample"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW((void)args.option_u64("--threads", 0), ParamError) << bad;
+  }
+  const CliArgs hours = cli_parse(*cli_find("mission"), {"--hours", "2h"});
+  EXPECT_THROW((void)cli_request(hours, "mission_request"), ParamError);
+  EXPECT_EQ(cli_parse(*campaign, {"--sample", "500"}).option_u64("--sample", 0),
+            500u);
+
+  // The same rows arriving in a VSRP1 request: the parser names the key.
+  const auto rejects = [](const std::string& json, const char* key) {
+    try {
+      (void)campaign_options_from(FlatJson::parse(json), 64);
+      ADD_FAILURE() << json << " accepted";
+    } catch (const ParamError& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  };
+  rejects(R"({"sample": "junk"})", "sample");
+  rejects(R"({"sample": -5})", "sample");
+  rejects(R"({"seed": 1e3})", "seed");
+  rejects(R"({"chunk": 18446744073709551616})", "chunk");
+  rejects(R"({"gang_width": 4294967360})", "gang_width");  // wraps to 64
+  rejects(R"({"persistence": "yes"})", "persistence");
+  rejects(R"({"exhaustive": true, "sample": "junk"})", "sample");
+  EXPECT_EQ(campaign_options_from(FlatJson::parse(R"({"sample": 500})"), 64)
+                .sample_bits,
+            500u);
+}
+
+TEST(Cli, TinyDeviceNamesParseStrictlyAndAreCapped) {
+  EXPECT_EQ(device_by_name("tiny:12x16").rows, 12);
+  EXPECT_EQ(device_by_name("tiny:12x16").cols, 16);
+  // The largest named device (xcv1000, 64x96) bounds a tiny one.
+  EXPECT_EQ(device_by_name("tiny:64x96").cols, 96);
+  for (const char* bad :
+       {"tiny:axb", "tiny:8x", "tiny:x12", "tiny:8", "tiny:+8x12",
+        "tiny:8x12junk", "tiny:-8x12", "tiny:68x12", "tiny:8x97",
+        "tiny:70000x70000", "tiny:65544x65552"}) {
+    try {
+      (void)device_by_name(bad);
+      ADD_FAILURE() << bad << " accepted";
+    } catch (const ParamError& e) {
+      EXPECT_NE(std::string(e.what()).find(bad), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW((void)device_by_name("xcv9000"), ParamError);
 }
 
 TEST(Cli, UnknownCommandIsNull) {

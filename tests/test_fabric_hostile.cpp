@@ -29,7 +29,7 @@
 #include "coord/coordinator.h"
 #include "coord/fabric.h"
 #include "coord/partition.h"
-#include "svc/client.h"
+#include "svc/session.h"
 #include "svc/config.h"
 #include "svc/protocol.h"
 #include "svc/server.h"
@@ -158,7 +158,7 @@ std::string campaign_payload(const char* design, u64 sample) {
 /// plain worker — the report every sharded/hostile variant must reproduce.
 FlatJson one_shot_report(const std::string& socket, const char* design,
                          u64 sample) {
-  ServiceClient client = ServiceClient::connect_unix(socket);
+  ServiceSession client = ServiceSession::connect_unix(socket);
   const Frame reply =
       client.call(FrameKind::kCampaign, campaign_payload(design, sample));
   EXPECT_EQ(reply.kind, FrameKind::kResult) << reply.payload;
@@ -287,6 +287,21 @@ TEST(FabricHostile, FleetWithNoLiveWorkersIsATypedError) {
       fabric_options({config.socket_path}, "lfsr", 500, /*lease_ms=*/300);
   EXPECT_THROW(run_fabric_campaign(silent), Error);
   std::filesystem::remove_all(spool);
+
+  // A worker that rejects every range (no spool directory to ship
+  // checkpoints from): the fabric fails typed, and its error carries the
+  // worker's own reason.
+  ServiceConfig no_spool = worker_config("fab_no_spool.sock", "");
+  ServerBox rejecting(no_spool);
+  try {
+    run_fabric_campaign(
+        fabric_options({no_spool.socket_path}, "lfsr", 500, 10000));
+    ADD_FAILURE() << "a fleet whose worker rejects every range succeeded";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("spool directory"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -315,7 +330,7 @@ TEST(FabricHostile, CoordinatorFleetMatchesOneShotWithCrossWorkerReuse) {
   ServerBox coordinator(transport,
                         std::make_unique<CoordinatorService>(coord));
 
-  ServiceClient client = ServiceClient::connect_unix(coord.socket_path);
+  ServiceSession client = ServiceSession::connect_unix(coord.socket_path);
   const FlatJson pong = FlatJson::parse(client.ping().payload);
   EXPECT_EQ(pong.get_string("role"), "coordinator");
   EXPECT_EQ(pong.get_u64("workers"), 2u);
@@ -354,6 +369,30 @@ TEST(FabricHostile, CoordinatorFleetMatchesOneShotWithCrossWorkerReuse) {
   EXPECT_EQ(stats.get_u64("campaigns_total"), 2u);
   EXPECT_GT(stats.get_u64("store_publishes"), 0u);
   EXPECT_GT(stats.get_u64("store_hits"), 0u);
+
+  // Every campaign row reaches the shards: persistence, no_prune and chunk
+  // each change the campaign, and the merge still matches one-shot.
+  const std::string rows = JsonReport("campaign_request")
+                               .set_string("design", "lfsrmult")
+                               .set_string("device", "campaign")
+                               .set_u64("sample", 1200)
+                               .set_u64("chunk", 64)
+                               .set_bool("persistence", true)
+                               .set_bool("no_prune", true)
+                               .to_json();
+  ServiceSession direct = ServiceSession::connect_unix(ca.socket_path);
+  const Frame one = direct.call(FrameKind::kCampaign, rows);
+  ASSERT_EQ(one.kind, FrameKind::kResult) << one.payload;
+  const Frame fleet = client.call(FrameKind::kCampaign, rows);
+  ASSERT_EQ(fleet.kind, FrameKind::kResult) << fleet.payload;
+  const FlatJson one_report = FlatJson::parse(one.payload);
+  const FlatJson fleet_report = FlatJson::parse(fleet.payload);
+  EXPECT_EQ(fleet_report.get_u64("pruned"), 0u);
+  for (const char* field : {"injections", "failures", "persistent", "pruned",
+                            "sensitive_bits", "sensitive_digest"}) {
+    EXPECT_EQ(fleet_report.get_u64(field), one_report.get_u64(field))
+        << field;
+  }
 
   std::filesystem::remove_all(spool_a);
   std::filesystem::remove_all(spool_b);
@@ -419,6 +458,42 @@ struct FrameLog {
     };
   }
 };
+
+TEST(FabricHostile, CoordinatorRejectsBadRequestsBeforeDispatch) {
+  // The coordinator runs the workers' parser before it partitions: a bad
+  // request is one typed kError, and no range ever reaches a worker (where
+  // it would fail, and be retried, once per range).
+  const std::string spool = fresh_dir("fab_check_w");
+  ServiceConfig wc = worker_config("fab_check_w.sock", spool);
+  ServerBox worker(wc);
+  CoordinatorConfig config;
+  config.socket_path = ::testing::TempDir() + "fab_check_unused.sock";
+  config.workers = {wc.socket_path};
+  CoordinatorService svc(config);
+  u64 id = 0;
+  for (const char* bad :
+       {R"({"design": "lfsr", "gang_width": 100})",
+        R"({"design": "lfsr", "sample": "junk"})",
+        // An overridden row is still read: the shards would re-send it.
+        R"({"design": "lfsr", "no_gang": true, "gang_width": "junk"})",
+        R"({"design": "no_such_design", "sample": 500})",
+        R"({"design": "lfsr", "device": "tiny:70000x70000"})"}) {
+    FrameLog log;
+    svc.handle({FrameKind::kCampaign, ++id, bad}, log.emit(), 0);
+    ASSERT_EQ(log.frames.size(), 1u) << bad;
+    EXPECT_EQ(log.frames[0].kind, FrameKind::kError) << bad;
+    EXPECT_EQ(FlatJson::parse(log.frames[0].payload).get_string("code"),
+              "bad_request")
+        << bad;
+  }
+  EXPECT_EQ(FlatJson::parse(svc.stats_report().to_json())
+                .get_u64("campaigns_total"),
+            0u);
+  ServiceSession probe = ServiceSession::connect_unix(wc.socket_path);
+  EXPECT_EQ(FlatJson::parse(probe.stats().payload).get_u64("requests_total"),
+            0u);
+  std::filesystem::remove_all(spool);
+}
 
 TEST(FabricFuzz, StoreRequestsDegradeToTypedErrorsNeverCrash) {
   const std::string hub = fresh_dir("fab_fuzz_hub");
@@ -568,7 +643,7 @@ TEST(FabricFuzz, GarbageAtALiveCoordinatorSocketGetsTypedErrorThenClose) {
   ::close(fd);
 
   // The hostile episode cost one connection; the coordinator still serves.
-  ServiceClient client = ServiceClient::connect_unix(coord.socket_path);
+  ServiceSession client = ServiceSession::connect_unix(coord.socket_path);
   EXPECT_EQ(FlatJson::parse(client.ping().payload).get_string("role"),
             "coordinator");
 }

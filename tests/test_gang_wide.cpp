@@ -231,6 +231,15 @@ TEST(GangWide, UnsupportedWidthsRaiseTypedErrorsListingSupport) {
   // Widths 0/1 mean "gang off" at the injector level, not an error.
   EXPECT_NO_THROW(SeuInjector(design, InjectionOptions{}.with_gang_width(0)));
   EXPECT_NO_THROW(SeuInjector(design, InjectionOptions{}.with_gang_width(1)));
+  // run_campaign checks before it dispatches: its injectors are built in
+  // pool tasks, where a throw would end the process instead.
+  EXPECT_THROW(
+      run_campaign(design,
+                   CampaignOptions{}
+                       .with_sample(64, 1)
+                       .with_injection(
+                           InjectionOptions{}.with_gang_width(100))),
+      GangWidthError);
 }
 
 TEST(GangWide, UnknownIsaNamesRaiseTypedErrorsListingNames) {

@@ -14,9 +14,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/cli.h"
 #include "core/vscrub.h"
 #include "sim/simd.h"
-#include "svc/client.h"
 #include "svc/config.h"
 #include "svc/protocol.h"
 #include "svc/requests.h"
@@ -603,6 +603,44 @@ TEST(CampaignService, ServedGangWidthDefaultIsTheWidestCompiledTier) {
   EXPECT_TRUE(gang_width_supported(preferred_gang_width()));
 }
 
+TEST(CampaignService, OneShotCommandLineMatchesServedRequest) {
+  // vscrubctl campaign and vscrubd read the same parameter table: flags ->
+  // request params -> the one parser gives the campaign execute_request runs,
+  // for a set where every row differs from its default.
+  const CliCommand* cmd = cli_find("campaign");
+  ASSERT_NE(cmd, nullptr);
+  const CliArgs args = cli_parse(
+      *cmd, {"lfsrmult", "--sample", "1000", "--seed", "7", "--chunk", "64",
+             "--persistence", "--no-prune", "--gang-width", "256",
+             "--gang-isa", "scalar", "--no-gang-plan"});
+  JsonReport request = cli_request(args, "campaign_request");
+  const CampaignOptions options =
+      campaign_options_from(FlatJson::parse(request.to_json()), 64);
+  EXPECT_EQ(options.sample_seed, 7u);
+  EXPECT_EQ(options.chunk_size, 64u);
+  EXPECT_EQ(options.injection.gang_width, 256u);
+  EXPECT_FALSE(options.injection.prune_unobservable);
+  const PlacedDesign design =
+      compile(design_by_name("lfsrmult"), device_by_name("campaign"));
+  const CampaignResult oneshot = run_campaign(design, options);
+
+  request.set_string("design", "lfsrmult");
+  ThreadPool pool(2);
+  RequestContext ctx;
+  ctx.pool = &pool;
+  const FlatJson served = FlatJson::parse(
+      execute_request(FrameKind::kCampaign,
+                      FlatJson::parse(request.to_json()), ctx)
+          .to_json());
+  EXPECT_EQ(served.get_u64("injections"), 1000u);
+  EXPECT_EQ(served.get_u64("pruned"), 0u);
+  EXPECT_EQ(served.get_u64("injections"), oneshot.injections);
+  EXPECT_EQ(served.get_u64("failures"), oneshot.failures);
+  EXPECT_EQ(served.get_u64("persistent"), oneshot.persistent);
+  EXPECT_EQ(served.get_u64("sensitive_digest"),
+            oneshot.sensitive_digest(design));
+}
+
 TEST(CampaignService, RecampaignWithoutStoreIsTypedFailure) {
   ServiceConfig config;
   config.executors = 1;
@@ -617,7 +655,7 @@ TEST(CampaignService, RecampaignWithoutStoreIsTypedFailure) {
 }
 
 // ---------------------------------------------------------------------------
-// Loopback integration: SocketServer + ServiceClient
+// Loopback integration: SocketServer + ServiceSession
 // ---------------------------------------------------------------------------
 
 struct LoopbackServer {
@@ -668,8 +706,8 @@ TEST(ServiceLoopback, ConcurrentClientsMatchDirectRunAndShareVerdicts) {
   clients.reserve(kClients);
   for (std::size_t c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      ServiceClient client =
-          ServiceClient::connect_unix(options.socket_path);
+      ServiceSession client =
+          ServiceSession::connect_unix(options.socket_path);
       const Frame reply = client.call(FrameKind::kCampaign, payload);
       EXPECT_EQ(reply.kind, FrameKind::kResult) << reply.payload;
       if (reply.kind != FrameKind::kResult) return;
@@ -705,7 +743,7 @@ TEST(ServiceLoopback, ConcurrentClientsMatchDirectRunAndShareVerdicts) {
   EXPECT_GT(total_hits, 0u);
 
   // The shared store also serves delta re-campaigns across the same socket.
-  ServiceClient client = ServiceClient::connect_unix(options.socket_path);
+  ServiceSession client = ServiceSession::connect_unix(options.socket_path);
   const Frame re = client.call(FrameKind::kRecampaign, payload);
   ASSERT_EQ(re.kind, FrameKind::kResult) << re.payload;
   const FlatJson rr = FlatJson::parse(re.payload);
@@ -720,14 +758,14 @@ TEST(ServiceLoopback, AcceptedAndProgressStreamBeforeResult) {
   ServiceConfig options = loopback_config("svc_progress.sock");
   LoopbackServer loop(options);
 
-  ServiceClient client = ServiceClient::connect_unix(options.socket_path);
+  ServiceSession client = ServiceSession::connect_unix(options.socket_path);
   const std::string payload =
       R"({"design": "lfsr", "device": "campaign", "sample": 2000,)"
       R"( "chunk": 64, "progress": true, "progress_every_chunks": 1})";
-  const u64 id = client.send_request(FrameKind::kCampaign, payload);
+  JobHandle job = client.submit(FrameKind::kCampaign, payload);
   u64 progress_frames = 0;
   u64 last_done = 0;
-  const Frame reply = client.wait(id, [&](const Frame& f) {
+  const Frame reply = job.wait([&](const Frame& f) {
     if (f.kind != FrameKind::kProgress) return;
     ++progress_frames;
     const FlatJson p = FlatJson::parse(f.payload);
@@ -746,14 +784,14 @@ TEST(ServiceLoopback, DrainDeliversInFlightResultThenExits) {
   ServiceConfig options = loopback_config("svc_drain.sock");
   LoopbackServer loop(options);
 
-  ServiceClient client = ServiceClient::connect_unix(options.socket_path);
-  const u64 id = client.send_request(
+  ServiceSession client = ServiceSession::connect_unix(options.socket_path);
+  JobHandle job = client.submit(
       FrameKind::kCampaign,
       R"({"design": "lfsrmult", "device": "campaign", "sample": 1500})");
   // Stop the server the moment the request is admitted: the drain must still
   // finish the in-flight campaign and deliver its result.
   std::atomic<bool> stopped{false};
-  const Frame reply = client.wait(id, [&](const Frame& f) {
+  const Frame reply = job.wait([&](const Frame& f) {
     if (f.kind == FrameKind::kAccepted && !stopped.exchange(true)) {
       loop.server.request_stop();
     }

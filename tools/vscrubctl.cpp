@@ -4,46 +4,32 @@
 // lives in core/cli.{h,cpp} so the test suite can enforce the CLI contract;
 // this file only maps parsed arguments onto library calls. Run
 // `vscrubctl <command> --help` for per-command flags.
-//
-// Designs: lfsr mult vmult counter multadd lfsrmult fir selfcheck bram
-// Devices: campaign (default), xcv50, xcv100, xcv300, xcv1000, tiny:RxC
 #include <cstdio>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
 #include "core/cli.h"
 #include "core/vscrub.h"
-#include "sim/simd.h"
-#include "fleet_common.h"
 #include "serve_common.h"
-#include "svc/client.h"
+#include "svc/session.h"
 #include "svc/requests.h"
 
 using namespace vscrub;
 
 namespace {
 
-// The name catalogs live in svc/requests so the serving layer resolves the
-// exact same designs and devices this CLI does.
-Netlist make_design(const std::string& name) { return design_by_name(name); }
-
-DeviceGeometry make_device(const std::string& name) {
-  return device_by_name(name);
-}
-
 int cmd_compile(const CliArgs& args) {
   VSCRUB_CHECK(!args.positional.empty(), "compile needs a design name");
-  Netlist nl = make_design(args.positional[0]);
+  Netlist nl = design_by_name(args.positional[0]);
   if (args.flag("--tmr")) nl = apply_tmr(nl);
   PnrOptions options;
   if (args.flag("--raddrc")) {
     options.halflatch_policy = HalfLatchPolicy::kLutRomConstants;
   }
-  const auto design =
-      compile(std::make_shared<const Netlist>(std::move(nl)),
-              std::make_shared<const ConfigSpace>(
-                  make_device(args.option("--device", "campaign"))),
-              options);
+  const PlacedDesign design =
+      Workbench(device_by_name(args.option("--device", "campaign")))
+          .compile(std::move(nl), options);
   std::printf("compiled %-22s %5zu slices (%.1f%%), %zu wires, %d router "
               "iterations\n",
               design.netlist->name().c_str(), design.stats.slices_used,
@@ -61,39 +47,23 @@ int cmd_compile(const CliArgs& args) {
   return 0;
 }
 
-CampaignOptions campaign_options_from(const CliArgs& args) {
-  // --no-gang forces every injection down the scalar path (gang width 1);
-  // --gang-width picks the lanes packed per bit-sliced run (default 64);
-  // --gang-isa pins the SIMD tier; --no-gang-plan interprets settles.
-  const u32 gang_width =
-      args.flag("--no-gang")
-          ? 1u
-          : static_cast<u32>(args.option_u64("--gang-width", 64));
-  // Reject unsupported widths/tiers before any work starts: GangWidthError /
-  // SimdIsaError carry the full supported list in their message.
-  if (gang_width >= 2) validate_gang_width(gang_width);
-  const std::string gang_isa = args.option("--gang-isa", "auto");
-  const SimdIsa requested_isa = parse_simd_isa(gang_isa);
-  if (requested_isa != SimdIsa::kAuto) (void)resolve_simd_isa(requested_isa);
-  CampaignOptions options =
-      CampaignOptions{}
-          .with_injection(InjectionOptions{}
-                              .with_persistence(args.flag("--persistence"))
-                              .with_pruning(!args.flag("--no-prune"))
-                              .with_gang_width(gang_width)
-                              .with_gang_isa(gang_isa)
-                              .with_gang_plan(!args.flag("--no-gang-plan")))
-          .with_threads(static_cast<unsigned>(args.option_u64("--threads", 0)))
-          .with_chunk_size(args.option_u64("--chunk", 0));
-  if (args.flag("--exhaustive")) {
-    options.with_exhaustive();
-  } else {
-    options.with_sample(args.option_u64("--sample", 20000));
-  }
-  const std::string checkpoint = args.option("--checkpoint", "");
-  if (!checkpoint.empty()) options.with_checkpoint(checkpoint);
-  const std::string cache_dir = args.option("--cache-dir", "");
-  if (!cache_dir.empty()) options.with_cache(cache_dir);
+/// The command line's work-request rows, parsed as vscrubd parses a request.
+FlatJson request_params_of(const CliArgs& args) {
+  return FlatJson::parse(cli_request(args, "request").to_json());
+}
+
+/// The one-shot gang width when none is given; served work defaults to
+/// served_gang_width_default() instead.
+constexpr u32 kOneShotGangWidth = 64;
+
+/// The request parser's campaign, plus the one-shot command's own flags.
+CampaignOptions oneshot_campaign_options(const CliArgs& args,
+                                         const FlatJson& params) {
+  CampaignOptions options = campaign_options_from(params, kOneShotGangWidth);
+  options.with_threads(static_cast<unsigned>(args.option_u64("--threads", 0)));
+  // An empty path leaves checkpointing / the verdict store off.
+  options.with_checkpoint(args.option("--checkpoint", ""));
+  options.with_cache(args.option("--cache-dir", ""));
   if (args.flag("--progress")) {
     options.with_progress([](const CampaignProgress& p) {
       std::fprintf(stderr,
@@ -148,9 +118,10 @@ void print_campaign_result(const CampaignResult& r, bool persistence) {
 
 int cmd_campaign(const CliArgs& args) {
   VSCRUB_CHECK(!args.positional.empty(), "campaign needs a design name");
-  Workbench bench(make_device(args.option("--device", "campaign")));
-  const auto design = bench.compile(make_design(args.positional[0]));
-  const CampaignOptions options = campaign_options_from(args);
+  const FlatJson params = request_params_of(args);
+  const CampaignOptions options = oneshot_campaign_options(args, params);
+  Workbench bench(device_by_name(request_device(params)));
+  const auto design = bench.compile(design_by_name(args.positional[0]));
   const auto r = bench.campaign(design, options);
   if (args.flag("--progress")) std::fprintf(stderr, "\n");
   print_campaign_result(r, options.injection.classify_persistence);
@@ -165,9 +136,10 @@ int cmd_recampaign(const CliArgs& args) {
   VSCRUB_CHECK(!args.positional.empty(), "recampaign needs a design name");
   const std::string cache_dir = args.option("--cache-dir", "");
   VSCRUB_CHECK(!cache_dir.empty(), "recampaign needs --cache-dir DIR");
-  Workbench bench(make_device(args.option("--device", "campaign")));
-  const auto design = bench.compile(make_design(args.positional[0]));
-  const CampaignOptions options = campaign_options_from(args);
+  const FlatJson params = request_params_of(args);
+  const CampaignOptions options = oneshot_campaign_options(args, params);
+  Workbench bench(device_by_name(request_device(params)));
+  const auto design = bench.compile(design_by_name(args.positional[0]));
   const auto r = bench.recampaign(design, cache_dir, options);
   if (args.flag("--progress")) std::fprintf(stderr, "\n");
   print_campaign_result(r.result, options.injection.classify_persistence);
@@ -183,7 +155,8 @@ int cmd_recampaign(const CliArgs& args) {
                 cache_dir.c_str());
   }
   const std::string json_path = args.option("--json", "");
-  if (!json_path.empty() && recampaign_report_json(design, r).write(json_path)) {
+  if (!json_path.empty() &&
+      recampaign_report_json(design, r).write(json_path)) {
     std::printf("wrote recampaign report to %s\n", json_path.c_str());
   }
   return 0;
@@ -191,8 +164,8 @@ int cmd_recampaign(const CliArgs& args) {
 
 int cmd_beam(const CliArgs& args) {
   VSCRUB_CHECK(!args.positional.empty(), "beam needs a design name");
-  Workbench bench(make_device(args.option("--device", "campaign")));
-  const auto design = bench.compile(make_design(args.positional[0]));
+  Workbench bench(device_by_name(args.option("--device", "campaign")));
+  const auto design = bench.compile(design_by_name(args.positional[0]));
   CampaignOptions copts;
   copts.sample_bits = 15000;
   copts.record_sampled_bits = true;
@@ -210,20 +183,6 @@ int cmd_beam(const CliArgs& args) {
   return 0;
 }
 
-void apply_mission_flags(const CliArgs& args, PayloadOptions& options,
-                         u64 total_bits) {
-  options.environment = args.flag("--flare")
-                            ? OrbitEnvironment::leo_solar_flare()
-                            : OrbitEnvironment::leo_quiet();
-  options.environment.upset_rate_per_bit_s *=
-      static_cast<double>(kXcv1000PaperBits) / static_cast<double>(total_bits);
-  if (args.flag("--scrub-faults")) {
-    // Paper-plausible fault rates for the scrub datapath and golden store.
-    options.scrub.link_faults = ScrubLinkFaults::leo_profile();
-    options.flash_faults = FlashFaultModel::leo_profile();
-  }
-}
-
 void print_fleet_line(const std::string& label, const FleetResult& r) {
   std::printf("%-14s availability %.6f +/- %.6f  mttr %8.1f ms  "
               "bw %8.0f B/s  repaired %llu\n",
@@ -232,29 +191,33 @@ void print_fleet_line(const std::string& label, const FleetResult& r) {
               static_cast<unsigned long long>(r.repaired));
 }
 
+/// The scrub-datapath fault counters of a mission or a fleet.
+template <typename Report>
+void print_scrub_faults(const Report& r) {
+  std::printf("scrub faults: %llu false alarms, %llu false repairs, %llu "
+              "timeouts, %llu flash escalations\n",
+              static_cast<unsigned long long>(r.false_alarms),
+              static_cast<unsigned long long>(r.false_repairs),
+              static_cast<unsigned long long>(r.scrub_transfer_timeouts),
+              static_cast<unsigned long long>(r.flash_escalations));
+}
+
 int cmd_mission(const CliArgs& args) {
-  Workbench bench(make_device(args.option("--device", "campaign")));
-  const auto design = bench.compile(designs::lfsr_multiplier(10));
-  CampaignOptions copts;
-  copts.sample_bits = 10000;
-  const auto camp = bench.campaign(design, copts);
-  PayloadOptions options;
-  apply_mission_flags(args, options, design.space->total_bits());
-  options.seed = args.option_u64("--seed", 4242);
-  const std::string policy = args.option("--scrub-policy", "");
-  if (!policy.empty()) options.scrub.policy = make_scrub_policy(policy);
+  const FlatJson params = request_params_of(args);
+  PayloadOptions options = mission_options_from(params);
+  const MissionTarget target = mission_target(params, {});
   MetricsRegistry metrics;
   EventTrace trace;
   const std::string trace_path = args.option("--trace", "");
   const std::string json_path = args.option("--json", "");
   if (!json_path.empty()) options.metrics = &metrics;
   if (!trace_path.empty()) options.trace = &trace;
-  Payload payload(design, options, camp.sensitive_set(design));
-  const double hours = args.option_double("--hours", 24);
-  const auto r = payload.run_mission(SimTime::hours(hours));
+  Payload payload(*target.design, options, target.sensitive);
+  const SimTime duration = mission_duration(params);
+  const auto r = payload.run_mission(duration);
   std::printf("%.0f h mission (%s): %llu upsets, %llu detected, %llu "
               "repaired, availability %.5f\n",
-              hours, options.environment.name.c_str(),
+              duration.sec() / 3600.0, options.environment.name.c_str(),
               static_cast<unsigned long long>(r.upsets_total),
               static_cast<unsigned long long>(r.detected),
               static_cast<unsigned long long>(r.repaired), r.availability);
@@ -263,12 +226,7 @@ int cmd_mission(const CliArgs& args) {
               r.scrub_policy.c_str(), r.scrub_cycle_per_board.ms(),
               r.mean_detection_latency_ms, r.mttr_ms);
   if (options.scrub.link_faults.enabled() || options.flash_faults.enabled()) {
-    std::printf("scrub faults: %llu false alarms, %llu false repairs, %llu "
-                "timeouts, %llu flash escalations\n",
-                static_cast<unsigned long long>(r.false_alarms),
-                static_cast<unsigned long long>(r.false_repairs),
-                static_cast<unsigned long long>(r.scrub_transfer_timeouts),
-                static_cast<unsigned long long>(r.flash_escalations));
+    print_scrub_faults(r);
   }
   if (!trace_path.empty() && trace.write_jsonl(trace_path)) {
     std::printf("wrote %zu trace events to %s\n", trace.size(),
@@ -281,47 +239,30 @@ int cmd_mission(const CliArgs& args) {
 }
 
 int cmd_fleet(const CliArgs& args) {
-  Workbench bench(make_device(args.option("--device", "campaign")));
-  const auto design = bench.compile(designs::lfsr_multiplier(10));
-  CampaignOptions copts;
-  copts.sample_bits = 10000;
-  const auto camp = bench.campaign(design, copts);
-  FleetOptions options;
-  options.missions = static_cast<u32>(args.option_u64("--missions", 8));
-  options.base_seed = args.option_u64("--seed", 1);
-  options.threads = static_cast<u32>(args.option_u64("--threads", 0));
-  options.duration = SimTime::hours(args.option_double("--hours", 24));
-  apply_mission_flags(args, options.payload, design.space->total_bits());
-  const std::vector<std::string> policies =
-      parse_scrub_policy_list(args.option("--scrub-policy", ""));
-  if (policies.size() > 1) {
+  const FlatJson params = request_params_of(args);
+  PolicyRaceOptions ro = fleet_options_from(params);
+  ro.fleet.threads = static_cast<u32>(args.option_u64("--threads", 0));
+  const FleetOptions& options = ro.fleet;
+  const MissionTarget target = mission_target(params, {});
+  const std::string json_path = args.option("--json", "");
+  std::printf("%u missions x %.0f h (%s)", options.missions,
+              options.duration.sec() / 3600.0,
+              options.payload.environment.name.c_str());
+  if (ro.policies.size() > 1) {
     // Race mode: the same seed sweep once per policy.
-    PolicyRaceOptions ro;
-    ro.policies = policies;
-    ro.fleet = options;
-    const auto race = bench.policy_race(design, camp.sensitive_set(design), ro);
-    std::printf("%u missions x %.0f h (%s), %zu policies:\n", options.missions,
-                options.duration.sec() / 3600.0,
-                options.payload.environment.name.c_str(),
-                race.entries.size());
+    const auto race = run_policy_race(*target.design, target.sensitive, ro);
+    std::printf(", %zu policies:\n", race.entries.size());
     for (const PolicyRaceEntry& e : race.entries) {
       print_fleet_line(e.policy, e.fleet);
     }
-    const std::string json_path = args.option("--json", "");
     if (!json_path.empty() &&
         policy_race_report_json(race).write(json_path)) {
       std::printf("wrote policy race report to %s\n", json_path.c_str());
     }
     return 0;
   }
-  if (policies.size() == 1) {
-    options.payload.scrub.policy = make_scrub_policy(policies[0]);
-  }
-  const auto r = bench.fleet(design, camp.sensitive_set(design), options);
-  std::printf("%u missions x %.0f h (%s): %llu upsets, %llu detected, %llu "
-              "repaired\n",
-              options.missions, options.duration.sec() / 3600.0,
-              options.payload.environment.name.c_str(),
+  const auto r = run_fleet(*target.design, target.sensitive, options);
+  std::printf(": %llu upsets, %llu detected, %llu repaired\n",
               static_cast<unsigned long long>(r.upsets_total),
               static_cast<unsigned long long>(r.detected),
               static_cast<unsigned long long>(r.repaired));
@@ -329,13 +270,7 @@ int cmd_fleet(const CliArgs& args) {
               "p99 %.1f ms\n",
               r.availability_mean, r.availability_ci95,
               r.detection_latency_p50_ms, r.detection_latency_p99_ms);
-  std::printf("scrub faults: %llu false alarms, %llu false repairs, %llu "
-              "timeouts, %llu flash escalations\n",
-              static_cast<unsigned long long>(r.false_alarms),
-              static_cast<unsigned long long>(r.false_repairs),
-              static_cast<unsigned long long>(r.scrub_transfer_timeouts),
-              static_cast<unsigned long long>(r.flash_escalations));
-  const std::string json_path = args.option("--json", "");
+  print_scrub_faults(r);
   if (!json_path.empty() && fleet_report_json(r).write(json_path)) {
     std::printf("wrote fleet report to %s\n", json_path.c_str());
   }
@@ -343,20 +278,14 @@ int cmd_fleet(const CliArgs& args) {
 }
 
 int cmd_bist(const CliArgs& args) {
-  auto space = std::make_shared<const ConfigSpace>(
-      make_device(args.option("--device", "tiny:8x12")));
-  FabricSim fabric(space);
-  const auto wire = run_wire_test(space, fabric);
+  const Workbench::BistReport r =
+      Workbench(device_by_name(args.option("--device", "tiny:8x12"))).bist();
   std::printf("wire test: %s (%d reconfigs, %d readbacks, %.0f ms modeled)\n",
-              wire.pass() ? "PASS" : "FAIL", wire.partial_reconfigs + 1,
-              wire.readbacks, wire.modeled_time.ms());
-  const auto pattern =
-      compile(std::make_shared<const Netlist>(bist_clb_cascade(6, 20)), space, {});
-  fabric.full_configure(pattern.bitstream);
-  const auto clb = run_clb_bist(pattern, fabric, 400);
+              r.wire.pass() ? "PASS" : "FAIL", r.wire.partial_reconfigs + 1,
+              r.wire.readbacks, r.wire.modeled_time.ms());
   std::printf("CLB BIST: %s (%.0f%% slice coverage)\n",
-              clb.error_detected ? "ERROR DETECTED" : "PASS",
-              clb.slice_coverage * 100);
+              r.clb.error_detected ? "ERROR DETECTED" : "PASS",
+              r.clb.slice_coverage * 100);
   return 0;
 }
 
@@ -369,52 +298,71 @@ int cmd_version(const CliArgs&) {
 }
 
 FrameKind submit_kind(const std::string& op) {
-  if (op == "ping") return FrameKind::kPing;
-  if (op == "stats") return FrameKind::kStats;
-  if (op == "campaign") return FrameKind::kCampaign;
-  if (op == "recampaign") return FrameKind::kRecampaign;
-  if (op == "mission") return FrameKind::kMission;
-  if (op == "fleet") return FrameKind::kFleet;
+  for (const FrameKind kind :
+       {FrameKind::kPing, FrameKind::kStats, FrameKind::kCampaign,
+        FrameKind::kRecampaign, FrameKind::kMission, FrameKind::kFleet}) {
+    if (op == frame_kind_name(kind)) return kind;
+  }
   throw Error("unknown submit op '" + op +
               "' (ping stats campaign recampaign mission fleet)");
 }
 
-// Request parameters mirror the one-shot commands' flags (underscored), and
-// are only set when given on the command line — the server's defaults are
-// the CLI's defaults, so a bare submit equals a bare one-shot run.
-std::string submit_payload(const CliArgs& args, const std::string& op) {
-  JsonReport req(op + "_request");
-  if (args.positional.size() > 1) req.set_string("design", args.positional[1]);
-  req.set_string("device", args.option("--device", "campaign"));
-  if (args.flag("--exhaustive")) {
-    req.set_bool("exhaustive", true);
-  } else if (args.flag("--sample")) {
-    req.set_u64("sample", args.option_u64("--sample", 20000));
-  }
-  if (args.flag("--persistence")) req.set_bool("persistence", true);
-  if (args.flag("--no-gang")) req.set_bool("no_gang", true);
-  if (args.flag("--gang-width")) {
-    req.set_u64("gang_width", args.option_u64("--gang-width", 64));
-  }
-  if (args.flag("--gang-isa")) {
-    req.set_string("gang_isa", args.option("--gang-isa", "auto"));
-  }
-  if (args.flag("--no-gang-plan")) req.set_bool("no_gang_plan", true);
-  if (args.flag("--seed")) req.set_u64("seed", args.option_u64("--seed", 0));
-  if (args.flag("--hours")) req.set("hours", args.option_double("--hours", 24));
-  if (args.flag("--missions")) {
-    req.set_u64("missions", args.option_u64("--missions", 8));
-  }
-  if (args.flag("--flare")) req.set_bool("flare", true);
-  if (args.flag("--scrub-faults")) req.set_bool("scrub_faults", true);
-  if (args.flag("--scrub-policy")) {
-    req.set_string("scrub_policy", args.option("--scrub-policy", ""));
-  }
-  if (args.flag("--progress")) req.set_bool("progress", true);
+/// The request a submit command line describes: the table rows given as
+/// flags (unset rows take the server's defaults, which are the one-shot
+/// defaults), the design, and this client's tenant and progress keys.
+std::string submit_request(const CliArgs& args, const std::string& kind,
+                           const std::string& design) {
+  JsonReport request = cli_request(args, kind);
+  if (!design.empty()) request.set_string("design", design);
   if (args.flag("--tenant")) {
-    req.set_string("tenant", args.option("--tenant", ""));
+    request.set_string("tenant", args.option("--tenant", ""));
   }
-  return req.to_json();
+  if (args.flag("--progress")) request.set_bool("progress", true);
+  return request.to_json();
+}
+
+/// Sends one request to the daemon (`peer`) at --socket and prints its
+/// reply: the report on stdout (and to --json), exit 3 on busy, 1 on error.
+/// With --progress, each progress frame's bit count and `counters` go to
+/// stderr.
+int call_and_print(const CliArgs& args, const char* peer,
+                   const char* default_socket, FrameKind kind,
+                   const std::string& payload,
+                   std::initializer_list<const char*> counters) {
+  ServiceSession session =
+      ServiceSession::connect_unix(args.option("--socket", default_socket));
+  const bool progress = args.flag("--progress");
+  const auto count = [](const FlatJson& p, const char* key) {
+    return static_cast<unsigned long long>(p.get_u64(key));
+  };
+  const Frame reply = session.call(kind, payload, [&](const Frame& f) {
+    if (!progress || f.kind != FrameKind::kProgress) return;
+    const FlatJson p = FlatJson::parse(f.payload);
+    std::fprintf(stderr, "\r%llu/%llu bits", count(p, "injections_done"),
+                 count(p, "injections_total"));
+    for (const char* c : counters) {
+      std::fprintf(stderr, "  %s %llu", c, count(p, c));
+    }
+    std::fprintf(stderr, "   ");
+  });
+  if (progress) std::fprintf(stderr, "\n");
+  if (reply.kind == FrameKind::kBusy) {
+    const FlatJson busy = FlatJson::parse(reply.payload);
+    std::fprintf(stderr, "vscrubctl: %s busy (%s); retry in %llu ms\n", peer,
+                 busy.get_string("reason", "busy").c_str(),
+                 count(busy, "retry_after_ms"));
+    return 3;
+  }
+  if (reply.kind == FrameKind::kError) {
+    std::fprintf(stderr, "vscrubctl: %s error: %s\n", peer,
+                 FlatJson::parse(reply.payload)
+                     .get_string("error", "unknown").c_str());
+    return 1;
+  }
+  std::fputs(reply.payload.c_str(), stdout);
+  const std::string json_path = args.option("--json", "");
+  if (!json_path.empty()) write_text_file(reply.payload, json_path);
+  return 0;
 }
 
 int cmd_submit(const CliArgs& args) {
@@ -423,106 +371,21 @@ int cmd_submit(const CliArgs& args) {
                "fleet)");
   const std::string op = args.positional[0];
   const FrameKind kind = submit_kind(op);
-  ServiceClient client =
-      ServiceClient::connect_unix(args.option("--socket", "/tmp/vscrubd.sock"));
-  const bool progress = args.flag("--progress");
-  const auto event = [progress](const Frame& f) {
-    if (!progress || f.kind != FrameKind::kProgress) return;
-    const FlatJson p = FlatJson::parse(f.payload);
-    std::fprintf(stderr, "\r%llu/%llu bits  %llu failures  %llu cached   ",
-                 static_cast<unsigned long long>(p.get_u64("injections_done")),
-                 static_cast<unsigned long long>(p.get_u64("injections_total")),
-                 static_cast<unsigned long long>(p.get_u64("failures")),
-                 static_cast<unsigned long long>(p.get_u64("cache_hits")));
-  };
   const bool immediate = kind == FrameKind::kPing || kind == FrameKind::kStats;
-  const Frame reply =
-      client.call(kind, immediate ? "" : submit_payload(args, op), event);
-  if (progress) std::fprintf(stderr, "\n");
-  if (reply.kind == FrameKind::kBusy) {
-    const FlatJson busy = FlatJson::parse(reply.payload);
-    std::fprintf(stderr, "vscrubctl: server busy (%s); retry in %llu ms\n",
-                 busy.get_string("reason", "busy").c_str(),
-                 static_cast<unsigned long long>(
-                     busy.get_u64("retry_after_ms", 0)));
-    return 3;
-  }
-  if (reply.kind == FrameKind::kError) {
-    std::fprintf(stderr, "vscrubctl: server error: %s\n",
-                 FlatJson::parse(reply.payload)
-                     .get_string("error", "unknown").c_str());
-    return 1;
-  }
-  std::fputs(reply.payload.c_str(), stdout);
-  const std::string json_path = args.option("--json", "");
-  if (!json_path.empty()) write_text_file(reply.payload, json_path);
-  return 0;
+  const std::string design = args.positional.size() > 1 ? args.positional[1]
+                                                        : "";
+  return call_and_print(
+      args, "server", "/tmp/vscrubd.sock", kind,
+      immediate ? "" : submit_request(args, op + "_request", design),
+      {"failures", "cache_hits"});
 }
 
 int cmd_fleet_submit(const CliArgs& args) {
   VSCRUB_CHECK(!args.positional.empty(), "fleet-submit needs a design name");
-  // Same underscored parameter convention as cmd_submit: only flags given
-  // on the command line are set, so the coordinator's (= worker's) defaults
-  // are the CLI's defaults.
-  JsonReport req("fleet_campaign_request");
-  req.set_string("design", args.positional[0]);
-  req.set_string("device", args.option("--device", "campaign"));
-  if (args.flag("--exhaustive")) {
-    req.set_bool("exhaustive", true);
-  } else if (args.flag("--sample")) {
-    req.set_u64("sample", args.option_u64("--sample", 20000));
-  }
-  if (args.flag("--persistence")) req.set_bool("persistence", true);
-  if (args.flag("--seed")) req.set_u64("seed", args.option_u64("--seed", 0));
-  if (args.flag("--chunk")) {
-    req.set_u64("chunk", args.option_u64("--chunk", 0));
-  }
-  if (args.flag("--no-gang")) req.set_bool("no_gang", true);
-  if (args.flag("--gang-width")) {
-    req.set_u64("gang_width", args.option_u64("--gang-width", 64));
-  }
-  if (args.flag("--gang-isa")) {
-    req.set_string("gang_isa", args.option("--gang-isa", "auto"));
-  }
-  if (args.flag("--no-gang-plan")) req.set_bool("no_gang_plan", true);
-  if (args.flag("--no-prune")) req.set_bool("no_prune", true);
-  const bool progress = args.flag("--progress");
-  if (progress) req.set_bool("progress", true);
-  ServiceClient client = ServiceClient::connect_unix(
-      args.option("--socket", "/tmp/vscrub-coord.sock"));
-  const auto event = [progress](const Frame& f) {
-    if (!progress || f.kind != FrameKind::kProgress) return;
-    const FlatJson p = FlatJson::parse(f.payload);
-    std::fprintf(stderr,
-                 "\r%llu/%llu bits  ranges %llu/%llu  %llu reassigned   ",
-                 static_cast<unsigned long long>(p.get_u64("injections_done")),
-                 static_cast<unsigned long long>(p.get_u64("injections_total")),
-                 static_cast<unsigned long long>(p.get_u64("ranges_done")),
-                 static_cast<unsigned long long>(p.get_u64("ranges_total")),
-                 static_cast<unsigned long long>(p.get_u64("reassignments")));
-  };
-  const Frame reply =
-      client.call(FrameKind::kCampaign, req.to_json(), event);
-  if (progress) std::fprintf(stderr, "\n");
-  if (reply.kind == FrameKind::kBusy) {
-    const FlatJson busy = FlatJson::parse(reply.payload);
-    std::fprintf(stderr,
-                 "vscrubctl: coordinator busy (%s); retry in %llu ms\n",
-                 busy.get_string("reason", "busy").c_str(),
-                 static_cast<unsigned long long>(
-                     busy.get_u64("retry_after_ms", 0)));
-    return 3;
-  }
-  if (reply.kind == FrameKind::kError) {
-    std::fprintf(stderr, "vscrubctl: coordinator error: %s\n",
-                 FlatJson::parse(reply.payload)
-                     .get_string("error", "unknown").c_str());
-    return 1;
-  }
-  std::fputs(reply.payload.c_str(), stdout);
-  const std::string json_path = args.option("--json", "");
-  if (!json_path.empty()) write_text_file(reply.payload, json_path);
-  return 0;
+  return call_and_print(
+      args, "coordinator", "/tmp/vscrub-coord.sock", FrameKind::kCampaign,
+      submit_request(args, "fleet_campaign_request", args.positional[0]),
+      {"ranges_done", "ranges_total", "reassignments"});
 }
 
 int cmd_info(const CliArgs& args) {
@@ -587,7 +450,11 @@ int main(int argc, char** argv) {
     if (name == "version") return cmd_version(args);
     if (name == "info") return cmd_info(args);
     if (name == "designs") {
-      std::printf("lfsr mult vmult counter multadd lfsrmult fir selfcheck bram\n");
+      std::string line;
+      for (const std::string& d : design_names()) {
+        line += (line.empty() ? "" : " ") + d;
+      }
+      std::printf("%s\n", line.c_str());
       return 0;
     }
     if (name == "devices") {

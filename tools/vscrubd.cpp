@@ -10,37 +10,26 @@
 #include <vector>
 
 #include "core/cli.h"
-#include "fleet_common.h"
 #include "serve_common.h"
 
 int main(int argc, char** argv) {
   using namespace vscrub;
   bool coordinator = false;
+  bool help = false;
   std::vector<std::string> rest;
   for (int i = 1; i < argc; ++i) {
     const std::string word = argv[i];
-    if (word == "--coordinator") {
-      coordinator = true;
-      continue;
-    }
-    rest.push_back(word);
+    coordinator = coordinator || word == "--coordinator";
+    help = help || word == "--help" || word == "-h";
+    if (word != "--coordinator") rest.push_back(word);
   }
   const CliCommand* cmd = cli_find(coordinator ? "fleet-serve" : "serve");
-  for (const std::string& word : rest) {
-    if (word == "--help" || word == "-h") {
-      std::string help = cli_help(*cmd);
-      // The shared command table prints `vscrubctl <cmd>`; this binary is
-      // invoked as plain `vscrubd` (with --coordinator for fleet-serve).
-      const std::string from =
-          coordinator ? "vscrubctl fleet-serve" : "vscrubctl serve";
-      const auto at = help.find(from);
-      if (at != std::string::npos) {
-        help.replace(at, from.size(),
-                     coordinator ? "vscrubd --coordinator" : "vscrubd");
-      }
-      std::fputs(help.c_str(), stdout);
-      return 0;
-    }
+  if (help) {
+    std::fputs(
+        cli_help(*cmd, coordinator ? "vscrubd --coordinator" : "vscrubd")
+            .c_str(),
+        stdout);
+    return 0;
   }
   try {
     const CliArgs args = cli_parse(*cmd, rest);
